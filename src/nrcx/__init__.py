@@ -31,7 +31,8 @@ from .translate import (enc, dec, NotInImageError, translate_type,
                         build_fd_id_reduction, desugar_emptiness)
 from .decide import (Verdict, well_defined_penrc, typecheck_penrc,
                      satisfiable_penrc, well_defined_pure_rx,
-                     typecheck_pure_rx, brute_force_verdict,
+                     typecheck_pure_rx, satisfiable_pure_rx,
+                     brute_force_verdict,
                      BudgetExceededError, NonPenrcError, PreconditionError)
 
 __version__ = "0.1.0"

@@ -20,16 +20,15 @@ import sys
 from . import sexpr
 from .decide import (BudgetExceededError, DEFAULT_MAX_ENVS, DEFAULT_TIMEOUT,
                      NonPenrcError, PreconditionError, satisfiable_penrc,
-                     typecheck_penrc, typecheck_pure_rx, well_defined_penrc,
-                     well_defined_pure_rx, Verdict)
+                     satisfiable_pure_rx, typecheck_penrc, typecheck_pure_rx,
+                     well_defined_penrc, well_defined_pure_rx, Verdict)
 from .frontend import (FD, IND, free_vars, parse, parse_type, print_expr,
-                       print_type, to_sexpr)
+                       print_type)
 from .rx import ORACLE_SUITES, eval_pure_rx, eval_rx
 from .penrc import eval_penrc
 from .translate import (NotPurePerxError, SchemaError, build_fd_id_reduction,
                         compile_ra, translate_expr)
-from .typeterms import CollT, VoidT
-from .values import env_from_json, value_to_json
+from .values import env_from_json, is_rx_value, value_to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -144,6 +143,10 @@ def cmd_eval(args):
     if missing:
         raise CliError(f"unbound variables: {', '.join(sorted(missing))}")
     if args.lang == "rx":
+        for x in sorted(env):
+            if not is_rx_value(env[x]):
+                raise CliError(f"binding {x} is not an RX value "
+                               "(a set of items)")
         out = eval_rx(e, env, ORACLE_SUITES[args.oracle])
     elif args.lang == "pure-rx":
         out = eval_pure_rx(e, env)
@@ -191,8 +194,7 @@ def cmd_check(args):
             if args.lang == "penrc":
                 verdict = satisfiable_penrc(e, gamma, **options)
             else:
-                v = typecheck_pure_rx(e, gamma, CollT(VoidT()), **options)
-                verdict = Verdict(not v.result, v.counterexample, v.bounds)
+                verdict = satisfiable_pure_rx(e, gamma, **options)
     _write_out(json.dumps(verdict.to_json()), args.out)
     return EXIT_OK if verdict.result else EXIT_FAILS
 
@@ -332,6 +334,9 @@ def main(argv=None):
         return EXIT_USAGE
     except KeyError as exc:
         print(f"error: missing binding {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -19,7 +19,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
-from .frontend import (NComp, NEmptyCond, free_vars, literals, _children)
+from .frontend import NEmptyCond, free_vars, literals, _children
 from .penrc import complexity, eval_penrc
 from .translate import (NotInImageError, dec_env, translate_expr,
                         translate_type)
@@ -39,6 +39,11 @@ class PreconditionError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """The search hit its environment or time budget inconclusively."""
+
+
+class SelfCheckError(RuntimeError):
+    """A counterexample did not fail again when re-checked, so the
+    failing predicate is not a function of the environment."""
 
 
 DEFAULT_MAX_ENVS = 10 ** 6
@@ -75,10 +80,6 @@ def require_penrc(e):
     if isinstance(e, NEmptyCond):
         raise NonPenrcError(
             "emptiness tests are outside the decidable fragment")
-    if isinstance(e, NComp):
-        require_penrc(e.source)
-        require_penrc(e.body)
-        return
     for c in _children(e):
         require_penrc(c)
 
@@ -282,7 +283,9 @@ def search_counterexample(failing, gamma, card, atoms, *, fresh=(),
                 if minimize:
                     env = minimize_counterexample(env, failing,
                                                   minimize_budget)
-                assert failing(env)  # self-certification
+                if not failing(env):
+                    raise SelfCheckError(
+                        "the counterexample did not fail on re-check")
                 return Verdict(False, env, bounds)
     except EnumerationBudgetError as exc:
         raise BudgetExceededError(str(exc)) from exc
@@ -422,6 +425,14 @@ def typecheck_pure_rx(e, gamma, tau, *, card=None, **options):
     if v.counterexample is not None:
         return Verdict(False, _decoding(v.counterexample), v.bounds)
     return v
+
+
+def satisfiable_pure_rx(e, gamma, **options):
+    """Decide whether some pure environment makes e nonempty: the type
+    check against coll(void) with the polarity flipped, as in
+    satisfiable_penrc."""
+    v = typecheck_pure_rx(e, gamma, CollT(VoidT()), **options)
+    return Verdict(not v.result, v.counterexample, v.bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 Concrete syntax is s-expressions throughout (see docs/grammar.md).
 ``parse`` / ``print_expr`` round-trip on ASTs; variables are bare
-symbols, atom literals are written ``(lit a)``.
+symbols, atom literals are written ``(lit a)``.  The regular forms of
+each expression language are rows of a form table (``RX_FORMS``,
+``PENRC_FORMS``, ``RA_FORMS``) that drives parsing, printing, child
+traversal and desugaring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 from . import sexpr
 from .sexpr import ParseError
@@ -143,11 +147,6 @@ class COr:
 @dataclass(frozen=True)
 class CNot:
     arg: object
-
-
-RX_CORE = (Var, AtomLit, Text, Elem, DataF, NameF, ChildrenF, EmptySeq,
-           Seq, Sing, For, IfEq, IfEmpty, IfType)
-RX_SUGAR = (MultiFor, CondIf)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +299,8 @@ class IND:
 
 
 def free_vars(e) -> frozenset:
-    if isinstance(e, (Var, NVar)):
+    if isinstance(e, (Var, NVar, Relation)):
         return frozenset([e.name])
-    if isinstance(e, (AtomLit, NAtomLit, EmptySeq, NEmpty)):
-        return frozenset()
     if isinstance(e, (For, NComp)):
         src = e.source
         return free_vars(src) | (free_vars(e.body) - {e.var})
@@ -314,78 +311,45 @@ def free_vars(e) -> frozenset:
             out |= free_vars(src) - bound
             bound.add(var)
         return out | (free_vars(e.body) - bound)
-    if isinstance(e, CondIf):
-        return _cond_free_vars(e.cond) | free_vars(e.then) | free_vars(e.els)
-    if isinstance(e, Relation):
-        return frozenset([e.name])
     out = frozenset()
     for child in _children(e):
         out |= free_vars(child)
     return out
 
 
-def _cond_free_vars(c):
-    if isinstance(c, CEq):
-        return free_vars(c.left) | free_vars(c.right)
-    if isinstance(c, (CAnd, COr)):
-        return _cond_free_vars(c.left) | _cond_free_vars(c.right)
-    if isinstance(c, CNot):
-        return _cond_free_vars(c.arg)
-    raise TypeError(f"not a condition: {c!r}")
-
-
 def _children(e):
-    """Direct subexpressions of e (not conditions, kinds, or types)."""
-    if isinstance(e, (Text, DataF, NameF, ChildrenF, Sing, NProj1, NProj2,
-                      NSing, NFlatten)):
-        return (e.body,)
-    if isinstance(e, Elem):
-        return (e.name_expr, e.content)
-    if isinstance(e, (Seq, NPair, NUnion, RaUnion, Diff, Product)):
-        return (e.left, e.right)
-    if isinstance(e, (IfEq, NEqCond)):
-        return (e.left, e.right, e.then, e.els)
-    if isinstance(e, (IfEmpty, NEmptyCond)):
-        return (e.cond, e.then, e.els)
-    if isinstance(e, IfType):
-        return (e.cond, e.then, e.els)
-    if isinstance(e, NKindCond):
-        return (e.subject, e.then, e.els)
-    if isinstance(e, (Select, Project, Rename)):
-        return (e.arg,)
-    if isinstance(e, (Var, NVar, AtomLit, NAtomLit, EmptySeq, NEmpty,
-                      Relation)):
+    """Direct subexpressions of e, the operands of its conditions
+    included (not kinds or types)."""
+    form = _BY_CLASS.get(type(e))
+    if form is not None:
+        return tuple(map(e.__getattribute__, form.exprs))
+    if isinstance(e, (Var, NVar)):
         return ()
+    if isinstance(e, MultiFor):
+        return tuple(src for _, src in e.bindings) + (e.body,)
+    if isinstance(e, CondIf):
+        return _cond_operands(e.cond) + (e.then, e.els)
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _cond_operands(c):
+    if isinstance(c, CEq):
+        return (c.left, c.right)
+    if isinstance(c, (CAnd, COr)):
+        return _cond_operands(c.left) + _cond_operands(c.right)
+    if isinstance(c, CNot):
+        return _cond_operands(c.arg)
+    raise TypeError(f"not a condition: {c!r}")
 
 
 def literals(e) -> frozenset:
     """All atoms occurring as literals in e."""
     if isinstance(e, (AtomLit, NAtomLit)):
         return frozenset([e.atom])
-    if isinstance(e, (For, NComp)):
-        return literals(e.source) | literals(e.body)
-    if isinstance(e, MultiFor):
-        out = literals(e.body)
-        for _, src in e.bindings:
-            out |= literals(src)
-        return out
-    if isinstance(e, CondIf):
-        return _cond_literals(e.cond) | literals(e.then) | literals(e.els)
     out = frozenset()
     for child in _children(e):
         out |= literals(child)
     return out
-
-
-def _cond_literals(c):
-    if isinstance(c, CEq):
-        return literals(c.left) | literals(c.right)
-    if isinstance(c, (CAnd, COr)):
-        return _cond_literals(c.left) | _cond_literals(c.right)
-    if isinstance(c, CNot):
-        return _cond_literals(c.arg)
-    raise TypeError(f"not a condition: {c!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -402,54 +366,16 @@ def desugar(e):
         return body
     if isinstance(e, CondIf):
         return _desugar_cond(e.cond, desugar(e.then), desugar(e.els))
-    if isinstance(e, (Var, AtomLit, EmptySeq, NVar, NAtomLit, NEmpty)):
+    if isinstance(e, (Var, NVar)):
         return e
-    if isinstance(e, For):
-        return For(e.var, e.kind, desugar(e.source), desugar(e.body))
-    if isinstance(e, NComp):
-        return NComp(e.var, desugar(e.source), desugar(e.body))
-    if isinstance(e, Text):
-        return Text(desugar(e.body))
-    if isinstance(e, Elem):
-        return Elem(desugar(e.name_expr), desugar(e.content))
-    if isinstance(e, DataF):
-        return DataF(desugar(e.body))
-    if isinstance(e, NameF):
-        return NameF(desugar(e.body))
-    if isinstance(e, ChildrenF):
-        return ChildrenF(desugar(e.body))
-    if isinstance(e, Seq):
-        return Seq(desugar(e.left), desugar(e.right))
-    if isinstance(e, Sing):
-        return Sing(desugar(e.body))
-    if isinstance(e, IfEq):
-        return IfEq(desugar(e.left), desugar(e.right),
-                    desugar(e.then), desugar(e.els))
-    if isinstance(e, IfEmpty):
-        return IfEmpty(desugar(e.cond), desugar(e.then), desugar(e.els))
-    if isinstance(e, IfType):
-        return IfType(desugar(e.cond), e.type, desugar(e.then), desugar(e.els))
-    if isinstance(e, NPair):
-        return NPair(desugar(e.left), desugar(e.right))
-    if isinstance(e, NProj1):
-        return NProj1(desugar(e.body))
-    if isinstance(e, NProj2):
-        return NProj2(desugar(e.body))
-    if isinstance(e, NSing):
-        return NSing(desugar(e.body))
-    if isinstance(e, NUnion):
-        return NUnion(desugar(e.left), desugar(e.right))
-    if isinstance(e, NFlatten):
-        return NFlatten(desugar(e.body))
-    if isinstance(e, NEqCond):
-        return NEqCond(desugar(e.left), desugar(e.right),
-                       desugar(e.then), desugar(e.els))
-    if isinstance(e, NKindCond):
-        return NKindCond(desugar(e.subject), e.kind,
-                         desugar(e.then), desugar(e.els))
-    if isinstance(e, NEmptyCond):
-        return NEmptyCond(desugar(e.cond), desugar(e.then), desugar(e.els))
-    raise TypeError(f"not an expression: {e!r}")
+    form = _BY_CLASS.get(type(e))
+    if form is None:
+        raise TypeError(f"not an expression: {e!r}")
+    args = []
+    for name, shape in form.args:
+        v = getattr(e, name)
+        args.append(desugar(v) if shape is EXPR else v)
+    return form.cls(*args)
 
 
 def _desugar_cond(c, then, els):
@@ -582,6 +508,109 @@ def print_kind(k):
 
 
 # ---------------------------------------------------------------------------
+# The form tables.  Each regular form of rx/pure-rx, penrc and ra is one
+# row: its head symbol, its AST class and the shapes of its arguments in
+# the order of the class's fields.  The parser, the printer, _children
+# and desugar read these rows; docs/grammar.md describes the same forms.
+
+
+class Shape(NamedTuple):
+    """How one argument of a form is read from and written to an
+    s-expression."""
+    read: Callable
+    write: Callable
+
+
+def _symbol_shape(what):
+    return Shape(lambda sx: _symbol(sx, what), lambda name: name)
+
+
+def _read_attrs(sx):
+    if isinstance(sx, str):
+        raise ParseError("project attribute list must be a list")
+    return tuple(_symbol(a, "an attribute") for a in sx)
+
+
+# An expression of the row's language: read by that language's builder,
+# written by to_sexpr.
+EXPR = Shape(None, None)
+VAR = _symbol_shape("a variable")
+ATOM = Shape(lambda sx: Atom(_symbol(sx, "an atom token")), lambda a: a.token)
+REL = _symbol_shape("a relation name")
+ATTR = _symbol_shape("an attribute")
+ATTRS = Shape(_read_attrs, list)
+KIND = Shape(parse_kind, print_kind)
+TYPE = Shape(parse_type, print_type)
+
+# Hand-written instead: variables, for*, cond and its conditions, and the
+# dependencies.  _build_rx reads seq variadic and sing in pure RX only.
+RX_FORMS = (
+    ("lit", AtomLit, ATOM),
+    ("text", Text, EXPR),
+    ("elem", Elem, EXPR, EXPR),
+    ("data", DataF, EXPR),
+    ("name", NameF, EXPR),
+    ("children", ChildrenF, EXPR),
+    ("empty", EmptySeq),
+    ("seq", Seq, EXPR, EXPR),
+    ("sing", Sing, EXPR),
+    ("for", For, VAR, KIND, EXPR, EXPR),
+    ("ifeq", IfEq, EXPR, EXPR, EXPR, EXPR),
+    ("ifempty", IfEmpty, EXPR, EXPR, EXPR),
+    ("iftype", IfType, EXPR, TYPE, EXPR, EXPR),
+)
+
+PENRC_FORMS = (
+    ("lit", NAtomLit, ATOM),
+    ("pair", NPair, EXPR, EXPR),
+    ("fst", NProj1, EXPR),
+    ("snd", NProj2, EXPR),
+    ("empty", NEmpty),
+    ("sing", NSing, EXPR),
+    ("union", NUnion, EXPR, EXPR),
+    ("flatten", NFlatten, EXPR),
+    ("for", NComp, VAR, EXPR, EXPR),
+    ("ifeq", NEqCond, EXPR, EXPR, EXPR, EXPR),
+    ("ifkind", NKindCond, EXPR, KIND, EXPR, EXPR),
+    ("ifempty", NEmptyCond, EXPR, EXPR, EXPR),
+)
+
+RA_FORMS = (
+    ("rel", Relation, REL),
+    ("select", Select, ATTR, ATTR, EXPR),
+    ("project", Project, ATTRS, EXPR),
+    ("product", Product, EXPR, EXPR),
+    ("rename", Rename, ATTR, ATTR, EXPR),
+    ("ra-union", RaUnion, EXPR, EXPR),
+    ("diff", Diff, EXPR, EXPR),
+)
+
+
+class _Form(NamedTuple):
+    head: str
+    cls: type
+    args: tuple   # ((field name, shape), ...)
+    exprs: tuple  # the names of the EXPR fields
+
+
+def _by_head(table):
+    forms = {}
+    for head, cls, *shapes in table:
+        args = tuple(zip([f.name for f in fields(cls)], shapes, strict=True))
+        forms[head] = _Form(head, cls, args,
+                            tuple(name for name, s in args if s is EXPR))
+    return forms
+
+
+_RX_HEADS = _by_head(RX_FORMS)
+_PENRC_HEADS = _by_head(PENRC_FORMS)
+_RA_HEADS = _by_head(RA_FORMS)
+_BY_CLASS = {form.cls: form
+             for heads in (_RX_HEADS, _PENRC_HEADS, _RA_HEADS)
+             for form in heads.values()}
+
+
+# ---------------------------------------------------------------------------
 # Expression parsing.
 
 
@@ -611,53 +640,38 @@ def _arity(sx, n):
             f"form {sx[0]!r} takes {n} argument(s), got {len(sx) - 1}")
 
 
+def _head(sx):
+    if not sx:
+        raise ParseError("empty expression form")
+    if not isinstance(sx[0], str):
+        raise ParseError(f"malformed form {sexpr.write(sx)!r}")
+    return sx[0]
+
+
+def _build_form(sx, heads, unknown, build, *extra):
+    """Build the regular form sx from its row in `heads`: check the arity,
+    then read the arguments left to right, expressions by
+    build(arg, *extra)."""
+    form = heads.get(sx[0]) if isinstance(sx[0], str) else None
+    if form is None:
+        raise ParseError(f"{unknown} {sx[0]!r}")
+    _arity(sx, len(form.args))
+    args = []
+    for (_, shape), arg in zip(form.args, sx[1:]):
+        args.append(build(arg, *extra) if shape is EXPR else shape.read(arg))
+    return form.cls(*args)
+
+
 def _build_rx(sx, pure):
     if isinstance(sx, str):
         return Var(sx)
-    if not sx:
-        raise ParseError("empty expression form")
-    head = sx[0]
-    if not isinstance(head, str):
-        raise ParseError(f"malformed form {sexpr.write(sx)!r}")
-    build = lambda s: _build_rx(s, pure)  # noqa: E731
-    if head == "lit":
-        _arity(sx, 1)
-        return AtomLit(Atom(_symbol(sx[1], "an atom token")))
-    if head == "text":
-        _arity(sx, 1)
-        return Text(build(sx[1]))
-    if head == "elem":
-        _arity(sx, 2)
-        return Elem(build(sx[1]), build(sx[2]))
-    if head == "data":
-        _arity(sx, 1)
-        return DataF(build(sx[1]))
-    if head == "name":
-        _arity(sx, 1)
-        return NameF(build(sx[1]))
-    if head == "children":
-        _arity(sx, 1)
-        return ChildrenF(build(sx[1]))
-    if head == "empty":
-        _arity(sx, 0)
-        return EmptySeq()
+    head = _head(sx)
     if head == "seq":
         if len(sx) < 3:
             raise ParseError("seq takes at least 2 arguments")
-        parts = [build(p) for p in sx[1:]]
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = Seq(p, out)
-        return out
-    if head == "sing":
-        if not pure:
-            raise ParseError("singleton constructor is pure RX only")
-        _arity(sx, 1)
-        return Sing(build(sx[1]))
-    if head == "for":
-        _arity(sx, 4)
-        return For(_symbol(sx[1], "a variable"), parse_kind(sx[2]),
-                   build(sx[3]), build(sx[4]))
+        return seq_of([_build_rx(p, pure) for p in sx[1:]])
+    if head == "sing" and not pure:
+        raise ParseError("singleton constructor is pure RX only")
     if head == "for*":
         _arity(sx, 3)
         if isinstance(sx[1], str):
@@ -666,22 +680,15 @@ def _build_rx(sx, pure):
         for b in sx[1]:
             if isinstance(b, str) or len(b) != 2:
                 raise ParseError("for* binding must be (var source)")
-            bindings.append((_symbol(b[0], "a variable"), build(b[1])))
-        return MultiFor(tuple(bindings), parse_kind(sx[2]), build(sx[3]))
-    if head == "ifeq":
-        _arity(sx, 4)
-        return IfEq(build(sx[1]), build(sx[2]), build(sx[3]), build(sx[4]))
-    if head == "ifempty":
-        _arity(sx, 3)
-        return IfEmpty(build(sx[1]), build(sx[2]), build(sx[3]))
-    if head == "iftype":
-        _arity(sx, 4)
-        return IfType(build(sx[1]), parse_type(sx[2]), build(sx[3]),
-                      build(sx[4]))
+            bindings.append((_symbol(b[0], "a variable"),
+                             _build_rx(b[1], pure)))
+        return MultiFor(tuple(bindings), parse_kind(sx[2]),
+                        _build_rx(sx[3], pure))
     if head == "cond":
         _arity(sx, 3)
-        return CondIf(_build_cond(sx[1], pure), build(sx[2]), build(sx[3]))
-    raise ParseError(f"unknown form {head!r}")
+        return CondIf(_build_cond(sx[1], pure), _build_rx(sx[2], pure),
+                      _build_rx(sx[3], pure))
+    return _build_form(sx, _RX_HEADS, "unknown form", _build_rx, pure)
 
 
 def _build_cond(sx, pure):
@@ -709,85 +716,14 @@ def _build_cond(sx, pure):
 def _build_nrc(sx):
     if isinstance(sx, str):
         return NVar(sx)
-    if not sx:
-        raise ParseError("empty expression form")
-    head = sx[0]
-    if not isinstance(head, str):
-        raise ParseError(f"malformed form {sexpr.write(sx)!r}")
-    if head == "lit":
-        _arity(sx, 1)
-        return NAtomLit(Atom(_symbol(sx[1], "an atom token")))
-    if head == "pair":
-        _arity(sx, 2)
-        return NPair(_build_nrc(sx[1]), _build_nrc(sx[2]))
-    if head == "fst":
-        _arity(sx, 1)
-        return NProj1(_build_nrc(sx[1]))
-    if head == "snd":
-        _arity(sx, 1)
-        return NProj2(_build_nrc(sx[1]))
-    if head == "empty":
-        _arity(sx, 0)
-        return NEmpty()
-    if head == "sing":
-        _arity(sx, 1)
-        return NSing(_build_nrc(sx[1]))
-    if head == "union":
-        _arity(sx, 2)
-        return NUnion(_build_nrc(sx[1]), _build_nrc(sx[2]))
-    if head == "flatten":
-        _arity(sx, 1)
-        return NFlatten(_build_nrc(sx[1]))
-    if head == "for":
-        _arity(sx, 3)
-        return NComp(_symbol(sx[1], "a variable"), _build_nrc(sx[2]),
-                     _build_nrc(sx[3]))
-    if head == "ifeq":
-        _arity(sx, 4)
-        return NEqCond(_build_nrc(sx[1]), _build_nrc(sx[2]),
-                       _build_nrc(sx[3]), _build_nrc(sx[4]))
-    if head == "ifkind":
-        _arity(sx, 4)
-        return NKindCond(_build_nrc(sx[1]), parse_kind(sx[2]),
-                         _build_nrc(sx[3]), _build_nrc(sx[4]))
-    if head == "ifempty":
-        _arity(sx, 3)
-        return NEmptyCond(_build_nrc(sx[1]), _build_nrc(sx[2]),
-                          _build_nrc(sx[3]))
-    raise ParseError(f"unknown form {head!r}")
+    _head(sx)
+    return _build_form(sx, _PENRC_HEADS, "unknown form", _build_nrc)
 
 
 def _build_ra(sx):
     if isinstance(sx, str) or not sx:
         raise ParseError(f"malformed relational form {sexpr.write(sx)!r}")
-    head = sx[0]
-    if head == "rel":
-        _arity(sx, 1)
-        return Relation(_symbol(sx[1], "a relation name"))
-    if head == "select":
-        _arity(sx, 3)
-        return Select(_symbol(sx[1], "an attribute"),
-                      _symbol(sx[2], "an attribute"), _build_ra(sx[3]))
-    if head == "project":
-        _arity(sx, 2)
-        if isinstance(sx[1], str):
-            raise ParseError("project attribute list must be a list")
-        return Project(tuple(_symbol(a, "an attribute") for a in sx[1]),
-                       _build_ra(sx[2]))
-    if head == "product":
-        _arity(sx, 2)
-        return Product(_build_ra(sx[1]), _build_ra(sx[2]))
-    if head == "rename":
-        _arity(sx, 3)
-        return Rename(_symbol(sx[1], "an attribute"),
-                      _symbol(sx[2], "an attribute"), _build_ra(sx[3]))
-    if head == "ra-union":
-        _arity(sx, 2)
-        return RaUnion(_build_ra(sx[1]), _build_ra(sx[2]))
-    if head == "diff":
-        _arity(sx, 2)
-        return Diff(_build_ra(sx[1]), _build_ra(sx[2]))
-    raise ParseError(f"unknown relational form {head!r}")
+    return _build_form(sx, _RA_HEADS, "unknown relational form", _build_ra)
 
 
 def _build_dep(sx):
@@ -811,83 +747,22 @@ def _build_dep(sx):
 def to_sexpr(e):
     if isinstance(e, (Var, NVar)):
         return e.name
-    if isinstance(e, (AtomLit, NAtomLit)):
-        return ["lit", e.atom.token]
-    if isinstance(e, Text):
-        return ["text", to_sexpr(e.body)]
-    if isinstance(e, Elem):
-        return ["elem", to_sexpr(e.name_expr), to_sexpr(e.content)]
-    if isinstance(e, DataF):
-        return ["data", to_sexpr(e.body)]
-    if isinstance(e, NameF):
-        return ["name", to_sexpr(e.body)]
-    if isinstance(e, ChildrenF):
-        return ["children", to_sexpr(e.body)]
-    if isinstance(e, (EmptySeq, NEmpty)):
-        return ["empty"]
-    if isinstance(e, Seq):
-        return ["seq", to_sexpr(e.left), to_sexpr(e.right)]
-    if isinstance(e, Sing):
-        return ["sing", to_sexpr(e.body)]
-    if isinstance(e, For):
-        return ["for", e.var, print_kind(e.kind), to_sexpr(e.source),
-                to_sexpr(e.body)]
+    form = _BY_CLASS.get(type(e))
+    if form is not None:
+        out = [form.head]
+        for name, shape in form.args:
+            v = getattr(e, name)
+            out.append(to_sexpr(v) if shape is EXPR else shape.write(v))
+        return out
     if isinstance(e, MultiFor):
         return ["for*", [[v, to_sexpr(s)] for v, s in e.bindings],
                 print_kind(e.kind), to_sexpr(e.body)]
-    if isinstance(e, IfEq):
-        return ["ifeq", to_sexpr(e.left), to_sexpr(e.right),
-                to_sexpr(e.then), to_sexpr(e.els)]
-    if isinstance(e, IfEmpty):
-        return ["ifempty", to_sexpr(e.cond), to_sexpr(e.then),
-                to_sexpr(e.els)]
-    if isinstance(e, IfType):
-        return ["iftype", to_sexpr(e.cond), print_type(e.type),
-                to_sexpr(e.then), to_sexpr(e.els)]
     if isinstance(e, CondIf):
         return ["cond", _cond_to_sexpr(e.cond), to_sexpr(e.then),
                 to_sexpr(e.els)]
-    if isinstance(e, NPair):
-        return ["pair", to_sexpr(e.left), to_sexpr(e.right)]
-    if isinstance(e, NProj1):
-        return ["fst", to_sexpr(e.body)]
-    if isinstance(e, NProj2):
-        return ["snd", to_sexpr(e.body)]
-    if isinstance(e, NSing):
-        return ["sing", to_sexpr(e.body)]
-    if isinstance(e, NUnion):
-        return ["union", to_sexpr(e.left), to_sexpr(e.right)]
-    if isinstance(e, NFlatten):
-        return ["flatten", to_sexpr(e.body)]
-    if isinstance(e, NComp):
-        return ["for", e.var, to_sexpr(e.source), to_sexpr(e.body)]
-    if isinstance(e, NEqCond):
-        return ["ifeq", to_sexpr(e.left), to_sexpr(e.right),
-                to_sexpr(e.then), to_sexpr(e.els)]
-    if isinstance(e, NKindCond):
-        return ["ifkind", to_sexpr(e.subject), print_kind(e.kind),
-                to_sexpr(e.then), to_sexpr(e.els)]
-    if isinstance(e, NEmptyCond):
-        return ["ifempty", to_sexpr(e.cond), to_sexpr(e.then),
-                to_sexpr(e.els)]
-    if isinstance(e, Relation):
-        return ["rel", e.name]
-    if isinstance(e, Select):
-        return ["select", e.attr1, e.attr2, to_sexpr(e.arg)]
-    if isinstance(e, Project):
-        return ["project", list(e.attrs), to_sexpr(e.arg)]
-    if isinstance(e, Product):
-        return ["product", to_sexpr(e.left), to_sexpr(e.right)]
-    if isinstance(e, Rename):
-        return ["rename", e.old, e.new, to_sexpr(e.arg)]
-    if isinstance(e, RaUnion):
-        return ["ra-union", to_sexpr(e.left), to_sexpr(e.right)]
-    if isinstance(e, Diff):
-        return ["diff", to_sexpr(e.left), to_sexpr(e.right)]
-    if isinstance(e, FD):
-        return ["fd", list(e.lhs), list(e.rhs)]
-    if isinstance(e, IND):
-        return ["ind", list(e.lhs), list(e.rhs)]
+    if isinstance(e, (FD, IND)):
+        return ["fd" if isinstance(e, FD) else "ind", list(e.lhs),
+                list(e.rhs)]
     raise TypeError(f"not an expression: {e!r}")
 
 

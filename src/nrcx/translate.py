@@ -250,10 +250,6 @@ def ra_schema(phi, schema):
     raise TypeError(f"not a relational expression: {phi!r}")
 
 
-def _rows_as_dicts(rows, attrs):
-    return [dict(zip(attrs, row)) for row in rows]
-
-
 def eval_ra(phi, db, schema):
     """Direct relational-algebra evaluation.
 

@@ -101,21 +101,6 @@ class KSum:
 KIND_ANY = KSum(KAtom(), KSum(KData(), KElem()))
 
 
-def sum_of(terms, empty=VoidT()):
-    """Right-fold a list of type/kind terms into a SumT/KSum chain."""
-    terms = list(terms)
-    if not terms:
-        return empty
-    out = terms[-1]
-    for t in reversed(terms[:-1]):
-        out = KSum(t, out) if _is_kind(t) else SumT(t, out)
-    return out
-
-
-def _is_kind(t) -> bool:
-    return isinstance(t, (KAtom, KData, KElem, KColl, KProd, KSum))
-
-
 # ---------------------------------------------------------------------------
 # Denotational membership.
 

@@ -300,10 +300,6 @@ def _collect_atoms(v, out):
         raise TypeError(f"not a value: {v!r}")
 
 
-def atom_count(v) -> int:
-    return len(atoms_of(v))
-
-
 # ---------------------------------------------------------------------------
 # JSON wire form.
 

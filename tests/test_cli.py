@@ -4,9 +4,9 @@ import pytest
 
 from nrcx.cli import main
 from nrcx.frontend import parse, print_expr
-from nrcx.rx import eval_rx
+from nrcx.rx import eval_pure_rx, eval_rx
 from nrcx.translate import decode_relation, encode_db
-from nrcx.values import Atom, DataNode, vset
+from nrcx.values import Atom, DataNode, env_from_json, vset
 
 
 def run(capsys, *argv):
@@ -73,6 +73,14 @@ def test_eval_oracle_selection(tmp_path, capsys):
     assert out_default != out_alt
 
 
+def test_eval_rx_rejects_non_set_binding_exit_1(tmp_path, capsys):
+    expr = write(tmp_path, "e.sexpr", "(children x)")
+    env = write(tmp_path, "env.json", json.dumps({"x": {"atom": "a"}}))
+    code, out, err = run(capsys, "eval", expr, env, "--lang", "rx")
+    assert code == 1 and out == ""
+    assert err.startswith("error: binding x is not an RX value")
+
+
 # --- check -----------------------------------------------------------------
 
 
@@ -114,6 +122,29 @@ def test_check_sat_of_empty_exit_4(tmp_path, capsys):
     assert code == 4 and json.loads(out)["result"] is False
 
 
+def test_check_pure_rx_sat_witness_exit_0(tmp_path, capsys):
+    expr = write(tmp_path, "e.sexpr", "(data x)")
+    gamma = write(tmp_path, "gamma.sexpr", "((x (coll (data))))")
+    code, out, _ = run(capsys, "check", expr, "--lang", "pure-rx",
+                       "--mode", "sat", "--gamma", gamma)
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["result"] is True
+    witness = env_from_json(verdict["counterexample"])
+    outcome = eval_pure_rx(parse("(data x)", "pure-rx"), witness)
+    assert outcome.is_defined and len(outcome.value) > 0
+
+
+def test_check_pure_rx_unsat_exit_4(tmp_path, capsys):
+    expr = write(tmp_path, "e.sexpr", "(children x)")
+    gamma = write(tmp_path, "gamma.sexpr", "((x (coll (data))))")
+    code, out, _ = run(capsys, "check", expr, "--lang", "pure-rx",
+                       "--mode", "sat", "--gamma", gamma)
+    verdict = json.loads(out)
+    assert code == 4
+    assert verdict["result"] is False and verdict["counterexample"] is None
+
+
 def test_check_type_precondition_exit_1(tmp_path, capsys):
     expr = write(tmp_path, "e.sexpr", "(fst x)")
     gamma = write(tmp_path, "gamma.sexpr", "((x (coll (atom))))")
@@ -152,6 +183,18 @@ def test_check_no_prune_same_verdict(tmp_path, capsys):
     assert base[0] == nop[0] == 4
     assert json.loads(base[1])["counterexample"] == \
         json.loads(nop[1])["counterexample"]
+
+
+@pytest.mark.parametrize("command,depth", [("parse", 600), ("check", 3000)])
+def test_deep_nesting_exit_1(tmp_path, capsys, command, depth):
+    expr = write(tmp_path, "e.sexpr",
+                 "(sing " * depth + "(empty)" + ")" * depth)
+    argv = [command, expr, "--lang", "penrc"]
+    if command == "check":
+        argv += ["--mode", "welldef",
+                 "--gamma", write(tmp_path, "gamma.sexpr", "()")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: expression nested too deeply\n")
 
 
 # --- parse and translate ---------------------------------------------------

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from nrcx.decide import (BudgetExceededError, NonPenrcError,
-                         PreconditionError, Verdict, atom_supply,
-                         brute_force_verdict, fresh_atoms, iter_environments,
-                         minimize_counterexample, require_penrc,
-                         satisfiable_penrc, typecheck_penrc,
+                         PreconditionError, SelfCheckError, Verdict,
+                         atom_supply, brute_force_verdict, fresh_atoms,
+                         iter_environments, minimize_counterexample,
+                         require_penrc, satisfiable_penrc,
+                         search_counterexample, typecheck_penrc,
                          typecheck_pure_rx, well_defined_penrc,
                          well_defined_pure_rx)
 from nrcx.frontend import parse, parse_type, free_vars
@@ -227,6 +228,17 @@ def test_minimize_falls_back_on_tiny_budget():
 
 
 # --- budgets and bounds ----------------------------------------------------
+
+
+def test_counterexample_that_does_not_fail_again_raises():
+    calls = []
+
+    def failing(env):
+        calls.append(env)
+        return len(calls) == 1
+
+    with pytest.raises(SelfCheckError):
+        search_counterexample(failing, {"x": AtomT()}, 1, [Atom("a")])
 
 
 def test_budget_exceeded_on_tiny_max_envs():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -270,3 +271,99 @@ def test_random_ast_round_trip():
 def test_to_sexpr_rejects_non_expressions():
     with pytest.raises(TypeError):
         to_sexpr(42)
+
+
+# --- error messages and compiled-RA round trips ----------------------------
+
+
+PARSE_ERRORS = [
+    # rx and pure rx
+    ("rx", "(text)", "form 'text' takes 1 argument(s), got 0"),
+    ("rx", "(elem x)", "form 'elem' takes 2 argument(s), got 1"),
+    ("rx", "(empty x)", "form 'empty' takes 0 argument(s), got 1"),
+    ("rx", "(for x (kind-any) y)", "form 'for' takes 4 argument(s), got 3"),
+    ("rx", "(wibble x)", "unknown form 'wibble'"),
+    ("rx", "(pair x y)", "unknown form 'pair'"),
+    ("rx", "(for (x) (kind-any) y y)", "expected a variable, got '(x)'"),
+    ("rx", "(lit (a))", "expected an atom token, got '(a)'"),
+    ("rx", "(for x kind-any y y)", "expected a kind, got symbol 'kind-any'"),
+    ("rx", "(iftype x (wibble) y y)", "malformed type form '(wibble)'"),
+    ("rx", "(iftype (lit (a)) (wibble) y y)",
+     "expected an atom token, got '(a)'"),
+    ("rx", "(seq x)", "seq takes at least 2 arguments"),
+    ("rx", "(seq (text) (sing x))", "form 'text' takes 1 argument(s), got 0"),
+    ("rx", "(sing x)", "singleton constructor is pure RX only"),
+    ("rx", "(sing)", "singleton constructor is pure RX only"),
+    ("rx", "(for* x (kind-any) y)", "for* bindings must be a list"),
+    ("rx", "(for* (x) (kind-any) y)", "for* binding must be (var source)"),
+    ("rx", "(for* ((x)) (kind-any) y)", "for* binding must be (var source)"),
+    ("rx", "(for* (((x) R)) (kind-any) y)", "expected a variable, got '(x)'"),
+    ("rx", "(for* ((x R)) y)", "form 'for*' takes 3 argument(s), got 2"),
+    ("rx", "(cond x y z)", "malformed condition 'x'"),
+    ("rx", "(cond () y z)", "malformed condition '()'"),
+    ("rx", "(cond (xor x y) y z)", "unknown condition form 'xor'"),
+    ("rx", "(cond (and (eq x y)) y z)", "and takes at least 2 conditions"),
+    ("rx", "(cond (not) y z)", "form 'not' takes 1 argument(s), got 0"),
+    ("rx", "(cond (eq x) y z)", "form 'eq' takes 2 argument(s), got 1"),
+    ("rx", "()", "empty expression form"),
+    ("rx", "((a) x)", "malformed form '((a) x)'"),
+    ("pure-rx", "(sing)", "form 'sing' takes 1 argument(s), got 0"),
+    ("pure-rx", "(sing (lit (a)))", "expected an atom token, got '(a)'"),
+    ("pure-rx", "(wibble)", "unknown form 'wibble'"),
+    ("pure-rx", "()", "empty expression form"),
+    # penrc
+    ("penrc", "(pair x)", "form 'pair' takes 2 argument(s), got 1"),
+    ("penrc", "(for x (kind-any) y y)",
+     "form 'for' takes 3 argument(s), got 4"),
+    ("penrc", "(text x)", "unknown form 'text'"),
+    ("penrc", "(for (x) R x)", "expected a variable, got '(x)'"),
+    ("penrc", "(lit (a))", "expected an atom token, got '(a)'"),
+    ("penrc", "(ifkind x (kind-prod (kind-atom)) y z)",
+     "malformed kind form '(kind-prod (kind-atom))'"),
+    ("penrc", "(seq x)", "unknown form 'seq'"),
+    ("penrc", "()", "empty expression form"),
+    ("penrc", "((a) x)", "malformed form '((a) x)'"),
+    # relational algebra
+    ("ra", "R", "malformed relational form 'R'"),
+    ("ra", "()", "malformed relational form '()'"),
+    ("ra", "((a) x)", "unknown relational form ['a']"),
+    ("ra", "(wibble)", "unknown relational form 'wibble'"),
+    ("ra", "(rel)", "form 'rel' takes 1 argument(s), got 0"),
+    ("ra", "(rel (R))", "expected a relation name, got '(R)'"),
+    ("ra", "(select (A) B (rel R))", "expected an attribute, got '(A)'"),
+    ("ra", "(rename A (B) R)", "expected an attribute, got '(B)'"),
+    ("ra", "(select A B R)", "malformed relational form 'R'"),
+    ("ra", "(project A (rel R))", "project attribute list must be a list"),
+    ("ra", "(project ((A)) (rel R))", "expected an attribute, got '(A)'"),
+    ("ra", "(product (rel R))", "form 'product' takes 2 argument(s), got 1"),
+    # dependencies
+    ("deps", "x", "malformed dependency 'x'"),
+    ("deps", "(fd A (B))", "fd takes two attribute lists"),
+    ("deps", "(ind (A) ((B)))", "expected an attribute, got '(B)'"),
+    ("deps", "(mvd (A) (B))", "unknown dependency form 'mvd'"),
+]
+
+
+@pytest.mark.parametrize("lang,src,message", PARSE_ERRORS)
+def test_parse_error_messages(lang, src, message):
+    with pytest.raises(ParseError) as err:
+        parse(src, lang)
+    assert str(err.value) == message
+
+
+# sha256 of the compiled RX texts of every depth-2 query, one per line:
+# pins the printed bytes, not only the round trip.
+COMPILED_RA_DEPTH2_SHA256 = \
+    "9a068057e4c41cf71412dfbcda5a91df7a7b323c05d13eb040a9e7d0ecaf5e2d"
+
+
+def test_compiled_ra_round_trip_depth2():
+    from nrcx.translate import compile_ra
+    from test_acceptance import RA_SCHEMA, _ra_exprs
+    digest = hashlib.sha256()
+    for q in _ra_exprs(2):
+        expr, _gamma = compile_ra(q, RA_SCHEMA)
+        text = print_expr(expr)
+        assert parse(text, "rx") == expr, text
+        digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == COMPILED_RA_DEPTH2_SHA256
