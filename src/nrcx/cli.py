@@ -27,7 +27,8 @@ from .frontend import (FD, IND, free_vars, parse, parse_type, print_expr,
 from .rx import ORACLE_SUITES, eval_pure_rx, eval_rx
 from .penrc import eval_penrc
 from .translate import (NotPurePerxError, SchemaError, build_fd_id_reduction,
-                        compile_ra, translate_expr)
+                        compile_ra, translate_expr, translate_type)
+from .typeterms import is_nrc_type
 from .values import env_from_json, is_rx_value, value_to_json
 
 EXIT_OK = 0
@@ -169,6 +170,15 @@ def _budget_options(args):
 def cmd_check(args):
     e = _load_expr(args.expr, args.lang)
     gamma = _load_gamma(args.gamma)
+    tau = None
+    if args.mode == "type":
+        if args.type is None:
+            raise CliError("--type is required for mode 'type'")
+        tau = _load_type(args.type)
+    for x in sorted(gamma):
+        _check_type_domain(gamma[x], f"type of {x}", args.lang)
+    if tau is not None:
+        _check_type_domain(tau, "output type", args.lang)
     options = _budget_options(args)
     if args.mode == "welldef":
         welldef = _well_defined(e, gamma, args.lang, options)
@@ -183,9 +193,6 @@ def cmd_check(args):
                 + json.dumps(Verdict(False, welldef.counterexample,
                                      welldef.bounds).to_json()))
         if args.mode == "type":
-            if args.type is None:
-                raise CliError("--type is required for mode 'type'")
-            tau = _load_type(args.type)
             if args.lang == "penrc":
                 verdict = typecheck_penrc(e, gamma, tau, **options)
             else:
@@ -197,6 +204,25 @@ def cmd_check(args):
                 verdict = satisfiable_pure_rx(e, gamma, **options)
     _write_out(json.dumps(verdict.to_json()), args.out)
     return EXIT_OK if verdict.result else EXIT_FAILS
+
+
+def _check_type_domain(t, what, lang):
+    """Reject a type outside the language's type domain before a search
+    trips over it."""
+    if lang == "penrc":
+        if is_nrc_type(t):
+            return
+        domain = "an NRC type"
+    else:
+        # translate_type defines the pure RX domain and raises TypeError
+        # outside it (ValueError, already an error exit, for set-based
+        # RX element types).
+        try:
+            translate_type(t)
+            return
+        except TypeError:
+            domain = "a pure RX type"
+    raise CliError(f"{what} is not {domain}: {sexpr.write(print_type(t))}")
 
 
 def _well_defined(e, gamma, lang, options):

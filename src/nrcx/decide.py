@@ -24,7 +24,9 @@ from .penrc import complexity, eval_penrc
 from .translate import (NotInImageError, dec_env, translate_expr,
                         translate_type)
 from .typeterms import (CollT, VoidT, member, rank, type_complexity,
-                        iter_values, EnumerationBudgetError)
+                        iter_canonical_values, EnumerationBudgetError)
+# perfbench/tracing.py wraps nrcx.decide.iter_values, so the name stays.
+from .typeterms import iter_values  # noqa: F401
 from .values import (Atom, DataNode, ElemNode, Pair, VSet, sort_key,
                      subvalue_env, env_to_json, RESERVED_ATOM_PREFIX)
 
@@ -106,44 +108,6 @@ def atom_supply(e, gamma, card: int):
 # Environment enumeration.
 
 
-def _first_atoms(v):
-    """Atoms of v in canonical traversal order (first occurrence order
-    is what the symmetry pruning inspects)."""
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Atom):
-            yield u
-        elif isinstance(u, DataNode):
-            yield u.content
-        elif isinstance(u, ElemNode):
-            yield u.name
-            stack.extend(reversed(u.children.elems))
-        elif isinstance(u, Pair):
-            stack.append(u.snd)
-            stack.append(u.fst)
-        elif isinstance(u, VSet):
-            stack.extend(reversed(u.elems))
-        else:
-            raise TypeError(f"not a value: {u!r}")
-
-
-def _extend_occurrences(v, fresh_index, seen):
-    """Fold v's fresh atoms into the first-occurrence state `seen` (a
-    list of indices); return False when the combined sequence can no
-    longer be the canonical prefix 0, 1, 2, ...."""
-    seen_set = set(seen)
-    for a in _first_atoms(v):
-        i = fresh_index.get(a)
-        if i is None or i in seen_set:
-            continue
-        if i != len(seen):
-            return False
-        seen.append(i)
-        seen_set.add(i)
-    return True
-
-
 def iter_environments(gamma, card, atoms, *, prune=True, fresh=(),
                       budget=DEFAULT_MAX_ENVS, deadline=None):
     """Stream environments compatible with gamma, sets of cardinality
@@ -151,35 +115,33 @@ def iter_environments(gamma, card, atoms, *, prune=True, fresh=(),
     in canonical order (depth-first, so early environments are small).
 
     With pruning on, environments that merely rename the fresh atoms of
-    an earlier one are skipped: the fresh atoms must make their first
-    appearances in supply order.  The deadline (time.monotonic seconds)
-    is checked while candidates are generated, since pruning can
-    discard long runs of candidates between yields.
+    an earlier one are never built: the fresh atoms must make their
+    first appearances in supply order, reading the variables' values in
+    sorted order of names.  iter_canonical_values applies that rule
+    inside each value and returns the count of fresh atoms seen, which
+    the next variable starts from.  The deadline (time.monotonic
+    seconds) is checked every 1024 values drawn for a variable.
     """
     names = sorted(gamma)
-    fresh_index = {a: i for i, a in enumerate(fresh)} if prune else {}
+    if not prune:
+        fresh = ()
 
     def rec(i, env, seen):
         if i == len(names):
             yield dict(env)
             return
         x = names[i]
-        for n, v in enumerate(iter_values(gamma[x], card, atoms, budget)):
+        for n, (v, seen2) in enumerate(iter_canonical_values(
+                gamma[x], card, atoms, fresh, seen, budget)):
             if deadline is not None and n % 1024 == 1023 \
                     and time.monotonic() > deadline:
                 raise BudgetExceededError(
                     "timed out while enumerating environments")
-            if prune:
-                seen2 = list(seen)
-                if not _extend_occurrences(v, fresh_index, seen2):
-                    continue
-            else:
-                seen2 = seen
             env[x] = v
             yield from rec(i + 1, env, seen2)
         env.pop(x, None)
 
-    return rec(0, {}, [])
+    return rec(0, {}, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,17 @@ def kind_member(v, k) -> bool:
     raise TypeError(f"not a kind term: {k!r}")
 
 
+def is_nrc_type(t) -> bool:
+    """t is a type of the nested calculus: no nodes and no singletons."""
+    if isinstance(t, (VoidT, AtomT)):
+        return True
+    if isinstance(t, CollT):
+        return is_nrc_type(t.item)
+    if isinstance(t, (ProdT, SumT)):
+        return is_nrc_type(t.left) and is_nrc_type(t.right)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Numeric measures on NRC types.
 
@@ -236,91 +247,180 @@ def iter_values(t, k: int, atoms, budget: int = DEFAULT_VALUE_BUDGET):
     Set-typed positions are streamed (subsets in canonical order), so a
     first match can be found even when the full space is enormous; the
     element universe of each set position is materialized and checked
-    against `budget`.
+    against `budget`.  This is iter_canonical_values with no fresh
+    atoms, so nothing is pruned.
+    """
+    for v, _ in iter_canonical_values(t, k, atoms, (), 0, budget):
+        yield v
+
+
+def iter_canonical_values(t, k: int, atoms, fresh, seen: int,
+                          budget: int = DEFAULT_VALUE_BUDGET):
+    """Yield (v, seen') for the values v of iter_values(t, k, atoms,
+    budget), in the same order, that keep the fresh atoms canonical.
+
+    `fresh` lists the fresh atoms among `atoms` in supply order, and
+    `seen` counts those that have appeared so far.  Walking v in
+    preorder (an element's name before its children, a pair's fst
+    before its snd, set elements in canonical order), each fresh atom
+    must have an index below the running count or equal to it, and in
+    the second case the count grows by one; seen' is the count after v.
+    So one value is generated per renaming of the fresh atoms not yet
+    seen.  The condition holds of a value only if it holds of each
+    preorder prefix, and a subset or a pair extends its prefix in
+    preorder, so an element or a left component that fails prunes
+    everything built on it before it is built.
     """
     atoms = sorted(set(atoms), key=sort_key)
-    return _iter(t, k, atoms, budget)
+    # Keyed by token: an Atom's own hash is computed in Python.
+    index = {a.token: i for i, a in enumerate(fresh)}
+    return _iter(t, k, atoms, budget, index, seen)
 
 
 def _materialize(t, k, atoms, budget):
+    """The universe of a set or right-hand pair position: every value of
+    t, none pruned, since a set or a pair may still reach a canonical
+    order through its other parts."""
     if count_values_upper(t, k, len(atoms)) > budget:
         raise EnumerationBudgetError(
             f"enumeration of {t!r} exceeds budget {budget}")
-    out = list(_iter(t, k, atoms, budget))
+    out = [v for v, _ in _iter(t, k, atoms, budget, {}, 0)]
     if len(out) > budget:
         raise EnumerationBudgetError(
             f"enumeration of {t!r} exceeds budget {budget}")
     return out
 
 
-def _iter(t, k, atoms, budget):
+def _fresh_order(v, index, out=None):
+    """Indices of v's fresh atoms in preorder."""
+    if out is None:
+        out = []
+    if isinstance(v, VSet):
+        for e in v.elems:
+            _fresh_order(e, index, out)
+    elif isinstance(v, Atom):
+        i = index.get(v.token)
+        if i is not None:
+            out.append(i)
+    elif isinstance(v, Pair):
+        _fresh_order(v.fst, index, out)
+        _fresh_order(v.snd, index, out)
+    elif isinstance(v, DataNode):
+        _fresh_order(v.content, index, out)
+    else:
+        _fresh_order(v.name, index, out)
+        _fresh_order(v.children, index, out)
+    return out
+
+
+def _advance(order, seen):
+    """The count of fresh atoms seen after a value whose fresh atoms come
+    in `order`, or -1 when one of them appears out of turn."""
+    for i in order:
+        if i == seen:
+            seen += 1
+        elif i > seen:
+            return -1
+    return seen
+
+
+def _iter_atoms(atoms, index, seen):
+    for a in atoms:
+        i = index.get(a.token)
+        if i is None or i < seen:
+            yield a, seen
+        elif i == seen:
+            yield a, seen + 1
+
+
+def _iter(t, k, atoms, budget, index, seen):
     if isinstance(t, VoidT):
         return
     elif isinstance(t, AtomT):
-        yield from atoms
+        yield from _iter_atoms(atoms, index, seen)
     elif isinstance(t, DataT):
-        for a in atoms:
-            yield DataNode(a)
+        for a, s in _iter_atoms(atoms, index, seen):
+            yield DataNode(a), s
     elif isinstance(t, ElemT):
         if isinstance(t.content, (CollT, SingleT)):
-            for a in atoms:
-                for n in _iter(t.content, k, atoms, budget):
-                    yield ElemNode(a, n)
+            for a, s in _iter_atoms(atoms, index, seen):
+                for n, s2 in _iter(t.content, k, atoms, budget, index, s):
+                    yield ElemNode(a, n), s2
         else:
             elems = _materialize(t.content, k, atoms, budget)
-            for a in atoms:
-                for sub in _iter_subsets(elems, k):
-                    yield ElemNode(a, VSet(sub))
+            orders = [None] * len(elems)
+            for a, s in _iter_atoms(atoms, index, seen):
+                for sub, s2 in _iter_subsets(elems, orders, k, index, s):
+                    yield ElemNode(a, VSet(sub)), s2
     elif isinstance(t, CollT):
         elems = _materialize(t.item, k, atoms, budget)
-        for sub in _iter_subsets(elems, k):
-            yield VSet(sub)
+        orders = [None] * len(elems)
+        for sub, s in _iter_subsets(elems, orders, k, index, seen):
+            yield VSet(sub), s
     elif isinstance(t, SingleT):
-        for v in _iter(t.item, k, atoms, budget):
-            yield VSet([v])
+        for v, s in _iter(t.item, k, atoms, budget, index, seen):
+            yield VSet([v]), s
     elif isinstance(t, ProdT):
         rights = _materialize(t.right, k, atoms, budget)
-        for l in _iter(t.left, k, atoms, budget):
-            for r in rights:
-                yield Pair(l, r)
+        orders = [_fresh_order(r, index) if index else () for r in rights]
+        for l, s in _iter(t.left, k, atoms, budget, index, seen):
+            for r, order in zip(rights, orders):
+                s2 = _advance(order, s)
+                if s2 >= 0:
+                    yield Pair(l, r), s2
     elif isinstance(t, SumT):
-        yield from _merge_unique(_iter(t.left, k, atoms, budget),
-                                 _iter(t.right, k, atoms, budget))
+        yield from _merge_unique(
+            _iter(t.left, k, atoms, budget, index, seen),
+            _iter(t.right, k, atoms, budget, index, seen))
     else:
         raise TypeError(f"not a type term: {t!r}")
 
 
-def _iter_subsets(sorted_elems, k):
-    """Subsets of size <= k of a canonically sorted duplicate-free list,
-    in canonical set order (lexicographic on sorted element tuples)."""
-    n = len(sorted_elems)
+def _iter_subsets(elems, orders, k, index, seen):
+    """(subset, seen') for the subsets of size <= k of a canonically
+    sorted duplicate-free list, in canonical set order (lexicographic on
+    sorted element tuples), skipping every subset whose fresh atoms come
+    out of turn.  orders[i] caches the fresh order of elems[i], computed
+    when the element is first reached."""
+    n = len(elems)
 
-    def rec(prefix, start):
-        yield tuple(prefix)
+    def rec(prefix, start, seen):
+        yield tuple(prefix), seen
         if len(prefix) == k:
             return
         for i in range(start, n):
-            prefix.append(sorted_elems[i])
-            yield from rec(prefix, i + 1)
+            s = seen
+            if index:
+                order = orders[i]
+                if order is None:
+                    order = orders[i] = _fresh_order(elems[i], index)
+                s = _advance(order, seen)
+                if s < 0:
+                    continue
+            prefix.append(elems[i])
+            yield from rec(prefix, i + 1, s)
             prefix.pop()
 
-    return rec([], 0)
+    return rec([], 0, seen)
 
 
 def _merge_unique(it1, it2):
+    """Merge two canonically ordered streams of (value, seen') pairs,
+    keeping one of each value (equal values have equal seen')."""
     s1 = _Peek(it1)
     s2 = _Peek(it2)
     last = _SENTINEL = object()
     while True:
         if s1.done and s2.done:
             return
-        if s2.done or (not s1.done and sort_key(s1.head) <= sort_key(s2.head)):
-            v = s1.pop()
+        if s2.done or (not s1.done
+                       and sort_key(s1.head[0]) <= sort_key(s2.head[0])):
+            item = s1.pop()
         else:
-            v = s2.pop()
-        if last is _SENTINEL or v != last:
-            yield v
-            last = v
+            item = s2.pop()
+        if last is _SENTINEL or item[0] != last:
+            yield item
+            last = item[0]
 
 
 class _Peek:

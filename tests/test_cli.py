@@ -185,6 +185,41 @@ def test_check_no_prune_same_verdict(tmp_path, capsys):
         json.loads(nop[1])["counterexample"]
 
 
+def _check_x(tmp_path, capsys, lang, mode, gamma, tau=None):
+    argv = ["check", write(tmp_path, "e.sexpr", "x"), "--lang", lang,
+            "--mode", mode, "--gamma", write(tmp_path, "gamma.sexpr", gamma)]
+    if tau is not None:
+        argv += ["--type", write(tmp_path, "type.sexpr", tau)]
+    return run(capsys, *argv)
+
+
+def test_check_pure_rx_gamma_outside_domain_exit_1(tmp_path, capsys):
+    got = _check_x(tmp_path, capsys, "pure-rx", "welldef",
+                   "((x (prod (atom) (atom))))")
+    assert got == (1, "", "error: type of x is not a pure RX type: "
+                          "(prod (atom) (atom))\n")
+
+
+def test_check_penrc_gamma_outside_domain_exit_1(tmp_path, capsys):
+    got = _check_x(tmp_path, capsys, "penrc", "welldef",
+                   "((x (single (atom))))")
+    assert got == (1, "", "error: type of x is not an NRC type: "
+                          "(single (atom))\n")
+
+
+def test_check_penrc_type_outside_domain_exit_1(tmp_path, capsys):
+    got = _check_x(tmp_path, capsys, "penrc", "type", "((x (atom)))",
+                   "(data)")
+    assert got == (1, "", "error: output type is not an NRC type: (data)\n")
+
+
+def test_check_pure_rx_type_outside_domain_exit_1(tmp_path, capsys):
+    got = _check_x(tmp_path, capsys, "pure-rx", "type",
+                   "((x (coll (atom))))", "(prod (atom) (atom))")
+    assert got == (1, "", "error: output type is not a pure RX type: "
+                          "(prod (atom) (atom))\n")
+
+
 @pytest.mark.parametrize("command,depth", [("parse", 600), ("check", 3000)])
 def test_deep_nesting_exit_1(tmp_path, capsys, command, depth):
     expr = write(tmp_path, "e.sexpr",

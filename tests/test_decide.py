@@ -135,6 +135,14 @@ def test_pure_rx_name_on_element_type():
     assert v.counterexample == {"x": EMPTY_SET}
 
 
+def test_pure_rx_children_of_element_collection_holds():
+    # 98% of the encoded environments are off the image of enc; with the
+    # fresh-atom renamings never built the default 60 s timeout suffices.
+    e = parse("(children x)", "pure-rx")
+    v = well_defined_pure_rx(e, {"x": T("(coll (elem (data)))")})
+    assert v.result is True
+
+
 def test_pure_rx_singleton_typechecks():
     e = parse("(sing x)", "pure-rx")
     v = typecheck_pure_rx(e, {"x": T("(atom)")}, T("(coll (atom))"))
