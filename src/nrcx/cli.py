@@ -19,9 +19,11 @@ import sys
 
 from . import sexpr
 from .decide import (BudgetExceededError, DEFAULT_MAX_ENVS, DEFAULT_TIMEOUT,
-                     NonPenrcError, PreconditionError, satisfiable_penrc,
-                     satisfiable_pure_rx, typecheck_penrc, typecheck_pure_rx,
-                     well_defined_penrc, well_defined_pure_rx, Verdict)
+                     NonPenrcError, PreconditionError, decide)
+# perfbench/tracing.py wraps these names on nrcx.cli, so they stay.
+from .decide import (satisfiable_penrc, typecheck_penrc,  # noqa: F401
+                     typecheck_pure_rx, well_defined_penrc,
+                     well_defined_pure_rx)
 from .frontend import (FD, IND, free_vars, parse, parse_type, print_expr,
                        print_type)
 from .rx import ORACLE_SUITES, eval_pure_rx, eval_rx
@@ -29,7 +31,8 @@ from .penrc import eval_penrc
 from .translate import (NotPurePerxError, SchemaError, build_fd_id_reduction,
                         compile_ra, translate_expr, translate_type)
 from .typeterms import is_nrc_type
-from .values import env_from_json, is_rx_value, value_to_json
+from .values import (env_from_json, is_nrc_value, is_pure_rx_value,
+                     is_rx_value, value_to_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,6 +75,8 @@ def _load_expr(path, lang):
 def _load_env(path):
     try:
         data = json.loads(_read_file(path))
+        if not isinstance(data, dict):
+            raise ValueError(f"not a JSON object: {data!r}")
         return env_from_json(data)
     except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"{path}: malformed environment: {exc}") from exc
@@ -87,6 +92,8 @@ def _load_gamma(path):
             var, tsx = entry
             if not isinstance(var, str):
                 raise CliError(f"{path}: gamma variable must be a symbol")
+            if var in gamma:
+                raise CliError(f"{path}: variable {var} declared twice")
             gamma[var] = parse_type(tsx)
         return gamma
     except sexpr.ParseError as exc:
@@ -137,17 +144,26 @@ def cmd_parse(args):
     return EXIT_OK
 
 
+# Each language's value domain for bindings, and how to name it.
+VALUE_DOMAINS = {
+    "rx": (is_rx_value, "an RX value (a set of items)"),
+    "pure-rx": (is_pure_rx_value,
+                "a pure RX value (an item or a set of items)"),
+    "penrc": (is_nrc_value, "an NRC value (atoms, pairs and sets)"),
+}
+
+
 def cmd_eval(args):
     e = _load_expr(args.expr, args.lang)
     env = _load_env(args.env)
     missing = free_vars(e) - set(env)
     if missing:
         raise CliError(f"unbound variables: {', '.join(sorted(missing))}")
+    is_value, domain = VALUE_DOMAINS[args.lang]
+    for x in sorted(env):
+        if not is_value(env[x]):
+            raise CliError(f"binding {x} is not {domain}")
     if args.lang == "rx":
-        for x in sorted(env):
-            if not is_rx_value(env[x]):
-                raise CliError(f"binding {x} is not an RX value "
-                               "(a set of items)")
         out = eval_rx(e, env, ORACLE_SUITES[args.oracle])
     elif args.lang == "pure-rx":
         out = eval_pure_rx(e, env)
@@ -180,28 +196,15 @@ def cmd_check(args):
     if tau is not None:
         _check_type_domain(tau, "output type", args.lang)
     options = _budget_options(args)
-    if args.mode == "welldef":
-        welldef = _well_defined(e, gamma, args.lang, options)
-        verdict = welldef
-    else:
+    verdict = decide(e, gamma, "welldef", lang=args.lang, **options)
+    if args.mode != "welldef":
         # Type-checking and satisfiability presuppose well-definedness.
-        welldef = _well_defined(e, gamma, args.lang, options)
-        if not welldef.result:
+        if not verdict.result:
             raise CliError(
                 "precondition failed: expression is not well defined; "
-                "counterexample: "
-                + json.dumps(Verdict(False, welldef.counterexample,
-                                     welldef.bounds).to_json()))
-        if args.mode == "type":
-            if args.lang == "penrc":
-                verdict = typecheck_penrc(e, gamma, tau, **options)
-            else:
-                verdict = typecheck_pure_rx(e, gamma, tau, **options)
-        else:  # sat
-            if args.lang == "penrc":
-                verdict = satisfiable_penrc(e, gamma, **options)
-            else:
-                verdict = satisfiable_pure_rx(e, gamma, **options)
+                "counterexample: " + json.dumps(verdict.to_json()))
+        verdict = decide(e, gamma, args.mode, lang=args.lang, tau=tau,
+                         **options)
     _write_out(json.dumps(verdict.to_json()), args.out)
     return EXIT_OK if verdict.result else EXIT_FAILS
 
@@ -223,12 +226,6 @@ def _check_type_domain(t, what, lang):
         except TypeError:
             domain = "a pure RX type"
     raise CliError(f"{what} is not {domain}: {sexpr.write(print_type(t))}")
-
-
-def _well_defined(e, gamma, lang, options):
-    if lang == "penrc":
-        return well_defined_penrc(e, gamma, **options)
-    return well_defined_pure_rx(e, gamma, **options)
 
 
 def cmd_translate(args):

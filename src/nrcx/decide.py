@@ -154,9 +154,7 @@ class _MinimizeBudget(Exception):
 
 def _subvalues(v, budget):
     """All values below v in the sub-value order, canonically sorted."""
-    if isinstance(v, (Atom, DataNode)):
-        return [v]
-    if isinstance(v, ElemNode):
+    if isinstance(v, (Atom, DataNode, ElemNode)):
         return [v]
     if isinstance(v, Pair):
         ls = _subvalues(v.fst, budget)
@@ -261,140 +259,103 @@ def _check_gamma(e, gamma):
             f"free variables without declared types: {sorted(missing)}")
 
 
-# ---------------------------------------------------------------------------
-# The three decision problems on the nested calculus.
+def _output_type(mode, tau):
+    """The type a mode checks outputs against; None for well-definedness."""
+    if mode not in ("welldef", "type", "sat"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "type" and tau is None:
+        raise ValueError("mode 'type' needs tau")
+    return {"welldef": None, "type": tau, "sat": CollT(VoidT())}[mode]
 
 
-def well_defined_penrc(e, gamma, *, card=None, **options):
-    """Decide whether e is defined on every environment compatible with
-    gamma.  A False verdict carries a minimized counterexample."""
-    require_penrc(e)
-    _check_gamma(e, gamma)
-    if card is None:
-        card = complexity(e, 1)
-    atoms, fresh = atom_supply(e, gamma, card)
+def _search(e, gamma, mode, tau, card, atoms, fresh, pure, options):
+    """Search for an environment on which e is undefined (tau None) or
+    outputs a value outside tau (where undefinedness raises
+    PreconditionError).  A pure problem fails only on encodings of pure
+    environments, and its counterexample is decoded.  "sat" flips the
+    result of the type check against coll(void)."""
     if not atoms:
         atoms, fresh = fresh_atoms(1), fresh_atoms(1)
 
     def failing(env):
-        return not eval_penrc(e, env).is_defined
-
-    return search_counterexample(failing, gamma, card, atoms, fresh=fresh,
-                                 **options)
-
-
-def typecheck_penrc(e, gamma, tau, *, card=None, **options):
-    """Decide whether e always outputs a value of type tau.  Requires e
-    to be well defined under gamma: an undefined environment aborts the
-    search with PreconditionError."""
-    require_penrc(e)
-    _check_gamma(e, gamma)
-    k = type_complexity(tau)
-    if card is None:
-        card = complexity(e, max(k, 1))
-    atoms, fresh = atom_supply(e, gamma, card)
-    if not atoms:
-        atoms, fresh = fresh_atoms(1), fresh_atoms(1)
-
-    def failing(env):
+        if pure:
+            try:
+                dec_env(env)
+            except NotInImageError:
+                return False  # not the encoding of any pure environment
         out = eval_penrc(e, env)
+        if tau is None:
+            return not out.is_defined
         if not out.is_defined:
             raise PreconditionError(
                 f"expression is not well defined (reason: {out.reason})")
         return not member(out.value, tau)
 
-    return search_counterexample(failing, gamma, card, atoms, fresh=fresh,
-                                 **options)
-
-
-def satisfiable_penrc(e, gamma, **options):
-    """Decide whether some compatible environment makes e nonempty.
-
-    e is unsatisfiable exactly when the always-empty set type is an
-    output type for it, so this is the type check against coll(void)
-    with the polarity flipped; a True verdict carries the witnessing
-    environment in the counterexample field.
-    """
-    v = typecheck_penrc(e, gamma, CollT(VoidT()), **options)
-    return Verdict(not v.result, v.counterexample, v.bounds)
+    v = search_counterexample(failing, gamma, card, atoms, fresh=fresh,
+                              **options)
+    env = v.counterexample
+    if pure and env is not None:
+        env = dec_env(env)
+    return Verdict(v.result != (mode == "sat"), env, v.bounds)
 
 
 # ---------------------------------------------------------------------------
-# Pure RX, by reduction.
+# The three decision problems, for the nested calculus and pure RX.
 
 
-def _translate_problem(e, gamma):
-    e2 = translate_expr(e)
-    gamma2 = {x: translate_type(t) for x, t in gamma.items()}
-    return e2, gamma2
+def decide(e, gamma, mode, *, lang="penrc", tau=None, card=None, **options):
+    """Decide one problem of e under gamma by the bounded search.
 
-
-def _decoding(env):
-    try:
-        return dec_env(env)
-    except NotInImageError:
-        return None
-
-
-def well_defined_pure_rx(e, gamma, *, card=None, **options):
-    """Well-definedness of a pure RX expression over pure environments,
-    decided on the encoded problem; the reported counterexample is
-    decoded back to pure RX values."""
-    e2, gamma2 = _translate_problem(e, gamma)
-    _check_gamma(e2, gamma2)
+    "welldef": is e defined on every compatible environment?  A False
+    verdict carries a minimized counterexample, as does one of "type":
+    does e always output a value of type tau?  That presupposes e well
+    defined; an undefined environment raises PreconditionError.  "sat":
+    does some environment make e nonempty?  It is the type check against
+    coll(void) with the polarity flipped, so a True verdict carries the
+    witness in the counterexample field.  lang "pure-rx" decides the
+    encoded problem and reports pure RX environments.
+    """
+    tau = _output_type(mode, tau)
+    pure = lang == "pure-rx"
+    if pure:
+        e = translate_expr(e)
+        gamma = {x: translate_type(t) for x, t in gamma.items()}
+        tau = None if tau is None else translate_type(tau)
+    elif lang == "penrc":
+        require_penrc(e)
+    else:
+        raise ValueError(f"unknown language {lang!r}")
+    _check_gamma(e, gamma)
     if card is None:
-        card = complexity(e2, 1)
-    atoms, fresh = atom_supply(e2, gamma2, card)
-    if not atoms:
-        atoms, fresh = fresh_atoms(1), fresh_atoms(1)
-
-    def failing(env):
-        if _decoding(env) is None:
-            return False  # not the encoding of any pure environment
-        return not eval_penrc(e2, env).is_defined
-
-    v = search_counterexample(failing, gamma2, card, atoms, fresh=fresh,
-                              **options)
-    if v.counterexample is not None:
-        return Verdict(False, _decoding(v.counterexample), v.bounds)
-    return v
+        card = complexity(e, 1 if tau is None
+                          else max(type_complexity(tau), 1))
+    atoms, fresh = atom_supply(e, gamma, card)
+    return _search(e, gamma, mode, tau, card, atoms, fresh, pure, options)
 
 
-def typecheck_pure_rx(e, gamma, tau, *, card=None, **options):
-    """Semantic type-checking of a pure RX expression, decided on the
-    encoded problem."""
-    e2, gamma2 = _translate_problem(e, gamma)
-    tau2 = translate_type(tau)
-    _check_gamma(e2, gamma2)
-    k = type_complexity(tau2)
-    if card is None:
-        card = complexity(e2, max(k, 1))
-    atoms, fresh = atom_supply(e2, gamma2, card)
-    if not atoms:
-        atoms, fresh = fresh_atoms(1), fresh_atoms(1)
+# The problems by name, as the README and the tests call them.
+def well_defined_penrc(e, gamma, **options):
+    return decide(e, gamma, "welldef", **options)
 
-    def failing(env):
-        if _decoding(env) is None:
-            return False
-        out = eval_penrc(e2, env)
-        if not out.is_defined:
-            raise PreconditionError(
-                f"expression is not well defined (reason: {out.reason})")
-        return not member(out.value, tau2)
 
-    v = search_counterexample(failing, gamma2, card, atoms, fresh=fresh,
-                              **options)
-    if v.counterexample is not None:
-        return Verdict(False, _decoding(v.counterexample), v.bounds)
-    return v
+def typecheck_penrc(e, gamma, tau, **options):
+    return decide(e, gamma, "type", tau=tau, **options)
+
+
+def satisfiable_penrc(e, gamma, **options):
+    return decide(e, gamma, "sat", **options)
+
+
+def well_defined_pure_rx(e, gamma, **options):
+    return decide(e, gamma, "welldef", lang="pure-rx", **options)
+
+
+def typecheck_pure_rx(e, gamma, tau, **options):
+    return decide(e, gamma, "type", lang="pure-rx", tau=tau, **options)
 
 
 def satisfiable_pure_rx(e, gamma, **options):
-    """Decide whether some pure environment makes e nonempty: the type
-    check against coll(void) with the polarity flipped, as in
-    satisfiable_penrc."""
-    v = typecheck_pure_rx(e, gamma, CollT(VoidT()), **options)
-    return Verdict(not v.result, v.counterexample, v.bounds)
+    return decide(e, gamma, "sat", lang="pure-rx", **options)
 
 
 # ---------------------------------------------------------------------------
@@ -403,38 +364,17 @@ def satisfiable_pure_rx(e, gamma, **options):
 
 def brute_force_verdict(e, gamma, mode, card, n_atoms, *, tau=None,
                         **options):
-    """Same enumeration machinery as the decision procedures, but with
-    caller-supplied bounds instead of the derived ones: sets of
-    cardinality <= card over an alphabet of n_atoms atoms (the literals
-    of e, padded with fresh atoms up to n_atoms).
-
-    mode is "welldef" or "type" (the latter needs tau).  Used to confirm
-    empirically that the derived bounds lose no counterexamples.
+    """`decide` on the nested calculus with caller-supplied bounds
+    instead of the derived ones: sets of cardinality <= card over an
+    alphabet of n_atoms atoms (the literals of e, padded with fresh atoms
+    up to n_atoms).  Used to confirm empirically that the derived bounds
+    lose no counterexamples.
     """
+    tau = _output_type(mode, tau)
     require_penrc(e)
     _check_gamma(e, gamma)
     lits = sorted(literals(e), key=sort_key)
     fresh = [a for a in fresh_atoms(max(0, n_atoms))
              if a not in set(lits)][:max(0, n_atoms - len(lits))]
-    atoms = lits + fresh
-    if not atoms:
-        atoms, fresh = fresh_atoms(1), fresh_atoms(1)
-
-    if mode == "welldef":
-        def failing(env):
-            return not eval_penrc(e, env).is_defined
-    elif mode == "type":
-        if tau is None:
-            raise ValueError("mode 'type' needs tau")
-
-        def failing(env):
-            out = eval_penrc(e, env)
-            if not out.is_defined:
-                raise PreconditionError(
-                    f"expression is not well defined (reason: {out.reason})")
-            return not member(out.value, tau)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    return search_counterexample(failing, gamma, card, atoms, fresh=fresh,
-                                 **options)
+    return _search(e, gamma, mode, tau, card, lits + fresh, fresh, False,
+                   options)

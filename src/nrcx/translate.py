@@ -113,7 +113,7 @@ def translate_kind(k):
         return K_ELEM_ENC
     if isinstance(k, KSum):
         return KSum(translate_kind(k.left), translate_kind(k.right))
-    raise TypeError(f"not a pure RX kind: {k!r}")
+    raise NotPurePerxError(f"not a pure RX kind: {k!r}")
 
 
 class NotPurePerxError(ValueError):

@@ -35,8 +35,9 @@ class Atom:
     token: str
 
     def __post_init__(self):
-        if not self.token:
-            raise ValueError("atom token must be nonempty")
+        if not isinstance(self.token, str) or not self.token:
+            raise ValueError(f"atom token must be a nonempty string: "
+                             f"{self.token!r}")
 
     def __repr__(self):
         return f"Atom({self.token!r})"

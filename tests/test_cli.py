@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -79,6 +80,42 @@ def test_eval_rx_rejects_non_set_binding_exit_1(tmp_path, capsys):
     code, out, err = run(capsys, "eval", expr, env, "--lang", "rx")
     assert code == 1 and out == ""
     assert err.startswith("error: binding x is not an RX value")
+
+
+
+def test_eval_pure_rx_rejects_pair_binding_exit_1(tmp_path, capsys):
+    expr = write(tmp_path, "e.sexpr", "x")
+    env = write(tmp_path, "env.json", json.dumps(
+        {"x": {"set": [{"pair": [{"atom": "a"}, {"atom": "b"}]}]}}))
+    got = run(capsys, "eval", expr, env, "--lang", "pure-rx")
+    assert got == (1, "", "error: binding x is not a pure RX value "
+                          "(an item or a set of items)\n")
+
+
+def test_eval_penrc_rejects_data_binding_exit_1(tmp_path, capsys):
+    expr = write(tmp_path, "e.sexpr", "(sing x)")
+    env = write(tmp_path, "env.json", json.dumps({"x": {"data": "a"}}))
+    got = run(capsys, "eval", expr, env, "--lang", "penrc")
+    assert got == (1, "", "error: binding x is not an NRC value "
+                          "(atoms, pairs and sets)\n")
+
+
+@pytest.mark.parametrize("text,shown", [("[1, 2]", "[1, 2]"),
+                                        ('"x"', "'x'")])
+def test_eval_env_not_an_object_exit_1(tmp_path, capsys, text, shown):
+    expr = write(tmp_path, "e.sexpr", "(empty)")
+    env = write(tmp_path, "env.json", text)
+    got = run(capsys, "eval", expr, env, "--lang", "rx")
+    assert got == (1, "", f"error: {env}: malformed environment: "
+                          f"not a JSON object: {shown}\n")
+
+
+def test_eval_non_string_atom_token_exit_1(tmp_path, capsys):
+    expr = write(tmp_path, "e.sexpr", "(sing x)")
+    env = write(tmp_path, "env.json", json.dumps({"x": {"atom": [1]}}))
+    got = run(capsys, "eval", expr, env, "--lang", "penrc")
+    assert got == (1, "", f"error: {env}: malformed environment: "
+                          "atom token must be a nonempty string: [1]\n")
 
 
 # --- check -----------------------------------------------------------------
@@ -193,6 +230,21 @@ def _check_x(tmp_path, capsys, lang, mode, gamma, tau=None):
     return run(capsys, *argv)
 
 
+def test_check_gamma_declared_twice_exit_1(tmp_path, capsys):
+    got = _check_x(tmp_path, capsys, "penrc", "welldef",
+                   "((x (atom)) (x (coll (atom))))")
+    gamma = tmp_path / "gamma.sexpr"
+    assert got == (1, "", f"error: {gamma}: variable x declared twice\n")
+
+
+def test_check_pure_rx_kind_outside_domain_exit_1(tmp_path, capsys):
+    expr = write(tmp_path, "e.sexpr", "(for v (kind-coll) x x)")
+    gamma = write(tmp_path, "gamma.sexpr", "((x (coll (atom))))")
+    got = run(capsys, "check", expr, "--lang", "pure-rx", "--mode",
+              "welldef", "--gamma", gamma)
+    assert got == (1, "", "error: not a pure RX kind: KColl()\n")
+
+
 def test_check_pure_rx_gamma_outside_domain_exit_1(tmp_path, capsys):
     got = _check_x(tmp_path, capsys, "pure-rx", "welldef",
                    "((x (prod (atom) (atom))))")
@@ -230,6 +282,49 @@ def test_deep_nesting_exit_1(tmp_path, capsys, command, depth):
                  "--gamma", write(tmp_path, "gamma.sexpr", "()")]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", "error: expression nested too deeply\n")
+
+
+# One problem per line: (lang, mode, expr, gamma, output type or None).
+# Every (lang, mode) pair, with a counterexample, a sat witness, an unsat
+# verdict and a failed well-definedness precondition among them.
+PINNED_CHECKS = [
+    ("penrc", "welldef", "(fst x)", "((x (coll (atom))))", None),
+    ("penrc", "welldef", "(for r R (pair (snd r) (fst r)))",
+     "((R (coll (prod (atom) (atom)))))", None),
+    ("penrc", "type", "(sing x)", "((x (atom)))", "(coll (atom))"),
+    ("penrc", "type", "x", "((x (coll (atom))))", "(coll (void))"),
+    ("penrc", "type", "(fst x)", "((x (coll (atom))))", "(atom)"),
+    ("penrc", "sat", "(empty)", "()", None),
+    ("penrc", "sat", "(for a x (sing a))", "((x (coll (atom))))", None),
+    ("penrc", "sat", "(fst x)", "((x (coll (atom))))", None),
+    ("pure-rx", "welldef", "(name x)", "((x (data)))", None),
+    ("pure-rx", "welldef", "(data x)", "((x (coll (data))))", None),
+    ("pure-rx", "type", "(seq x y)",
+     "((x (coll (sum (atom) (data)))) (y (coll (sum (atom) (data)))))",
+     "(coll (data))"),
+    ("pure-rx", "type", "(text x)", "((x (coll (atom))))", "(atom)"),
+    ("pure-rx", "type", "(sing x)", "((x (atom)))", "(coll (atom))"),
+    ("pure-rx", "sat", "(data x)", "((x (coll (data))))", None),
+    ("pure-rx", "sat", "(children x)", "((x (coll (data))))", None),
+]
+PINNED_CHECKS_SHA256 = \
+    "8d6400f46646a6ff1d99116f620d136bf15da35486853521d2592447c47a4940"
+
+
+def test_check_output_is_pinned(tmp_path, capsys):
+    # Exit codes, stdout and stderr of `nrcx check` on a fixed problem
+    # list, recorded before the six decision procedures became calls of
+    # one `decide`.
+    transcript = []
+    for lang, mode, expr, gamma, tau in PINNED_CHECKS:
+        argv = ["check", write(tmp_path, "e.sexpr", expr), "--lang", lang,
+                "--mode", mode, "--gamma", write(tmp_path, "g.sexpr", gamma)]
+        if tau is not None:
+            argv += ["--type", write(tmp_path, "t.sexpr", tau)]
+        code, out, err = run(capsys, *argv)
+        transcript.append(f"{code}\n{out}{err}")
+    digest = hashlib.sha256("".join(transcript).encode()).hexdigest()
+    assert digest == PINNED_CHECKS_SHA256, transcript
 
 
 # --- parse and translate ---------------------------------------------------

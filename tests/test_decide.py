@@ -5,7 +5,8 @@ import pytest
 
 from nrcx.decide import (BudgetExceededError, NonPenrcError,
                          PreconditionError, SelfCheckError, Verdict,
-                         atom_supply, brute_force_verdict, fresh_atoms,
+                         atom_supply, brute_force_verdict, decide,
+                         fresh_atoms,
                          iter_environments, minimize_counterexample,
                          require_penrc, satisfiable_penrc,
                          search_counterexample, typecheck_penrc,
@@ -122,6 +123,42 @@ def test_satisfiable_identity_comprehension():
     assert v.result is True
     out = eval_penrc(e, v.counterexample)
     assert out.is_defined and len(out.value.elems) > 0
+
+
+# --- decide ----------------------------------------------------------------
+
+
+def test_decide_rejects_unknown_mode_language_and_missing_tau():
+    e, gamma = P("x"), {"x": T("(atom)")}
+    for mode, kw in [("nonsense", {}), ("type", {}),
+                     ("welldef", {"lang": "rx"})]:
+        with pytest.raises(ValueError):
+            decide(e, gamma, mode, **kw)
+
+
+def test_decide_sat_ignores_tau_and_flips_type_check():
+    e, gamma = P("(for x R x)"), {"R": T("(coll (atom))")}
+    typed = decide(e, gamma, "type", tau=CollT(VoidT()))
+    sat = decide(e, gamma, "sat", tau=T("(atom)"))
+    assert typed.result is False and sat.result is True
+    assert sat.counterexample == typed.counterexample
+    assert sat.bounds == typed.bounds
+
+
+def test_package_attribute_decide_is_the_module():
+    # The package does not re-export the function: it would shadow the
+    # submodule nrcx.decide.
+    import types
+    import nrcx
+    assert isinstance(nrcx.decide, types.ModuleType)
+
+
+def test_brute_force_sat_agrees_with_decide():
+    gamma = {"R": T("(coll (atom))")}
+    for src in ["(empty)", "(for x R x)", "(for x R (empty))"]:
+        e = P(src)
+        assert brute_force_verdict(e, gamma, "sat", 2, 2).result == \
+            decide(e, gamma, "sat").result, src
 
 
 # --- pure RX via translation -----------------------------------------------
