@@ -80,6 +80,9 @@ def _load_env(path):
         return env_from_json(data)
     except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"{path}: malformed environment: {exc}") from exc
+    except RecursionError as exc:
+        raise CliError(
+            f"{path}: malformed environment: nested too deeply") from exc
 
 
 def _load_gamma(path):

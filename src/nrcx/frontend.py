@@ -3,9 +3,11 @@
 Concrete syntax is s-expressions throughout (see docs/grammar.md).
 ``parse`` / ``print_expr`` round-trip on ASTs; variables are bare
 symbols, atom literals are written ``(lit a)``.  The regular forms of
-each expression language are rows of a form table (``RX_FORMS``,
-``PENRC_FORMS``, ``RA_FORMS``) that drives parsing, printing, child
-traversal and desugaring.
+each expression language, and the conditions of ``cond``, are rows of
+a form table (``RX_FORMS``, ``COND_FORMS``, ``PENRC_FORMS``,
+``RA_FORMS``) that drives parsing, printing, child traversal and
+rebuilding.  The RX sugar (``for*``, ``cond``) is expanded by
+``desugar`` and nowhere else.
 """
 
 from __future__ import annotations
@@ -318,28 +320,36 @@ def free_vars(e) -> frozenset:
 
 
 def _children(e):
-    """Direct subexpressions of e, the operands of its conditions
-    included (not kinds or types)."""
+    """Direct subexpressions of e, the operands of its conditions and
+    the sources of its bindings included (not kinds or types)."""
     form = _BY_CLASS.get(type(e))
     if form is not None:
-        return tuple(map(e.__getattribute__, form.exprs))
+        out = ()
+        for name, shape in form.holders:
+            out += shape.exprs(getattr(e, name))
+        return out
     if isinstance(e, (Var, NVar)):
         return ()
-    if isinstance(e, MultiFor):
-        return tuple(src for _, src in e.bindings) + (e.body,)
-    if isinstance(e, CondIf):
-        return _cond_operands(e.cond) + (e.then, e.els)
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _cond_operands(c):
-    if isinstance(c, CEq):
-        return (c.left, c.right)
-    if isinstance(c, (CAnd, COr)):
-        return _cond_operands(c.left) + _cond_operands(c.right)
-    if isinstance(c, CNot):
-        return _cond_operands(c.arg)
-    raise TypeError(f"not a condition: {c!r}")
+def map_children(e, f):
+    """e rebuilt from its row with f applied to each direct
+    subexpression, in field order (see _children)."""
+    form = _BY_CLASS.get(type(e))
+    if form is not None:
+        values = []
+        for name, shape in form.args:
+            v = getattr(e, name)
+            if shape is EXPR:
+                v = f(v)
+            elif shape.map is not None:
+                v = shape.map(v, f)
+            values.append(v)
+        return form.cls(*values)
+    if isinstance(e, (Var, NVar)):
+        return e
+    raise TypeError(f"not an expression: {e!r}")
 
 
 def literals(e) -> frozenset:
@@ -366,16 +376,7 @@ def desugar(e):
         return body
     if isinstance(e, CondIf):
         return _desugar_cond(e.cond, desugar(e.then), desugar(e.els))
-    if isinstance(e, (Var, NVar)):
-        return e
-    form = _BY_CLASS.get(type(e))
-    if form is None:
-        raise TypeError(f"not an expression: {e!r}")
-    args = []
-    for name, shape in form.args:
-        v = getattr(e, name)
-        args.append(desugar(v) if shape is EXPR else v)
-    return form.cls(*args)
+    return map_children(e, desugar)
 
 
 def _desugar_cond(c, then, els):
@@ -390,15 +391,18 @@ def _desugar_cond(c, then, els):
     raise TypeError(f"not a condition: {c!r}")
 
 
+def fold_right(ctor, parts):
+    """ctor(p1, ctor(p2, ... pn)) for a nonempty list of parts."""
+    out = parts[-1]
+    for p in reversed(parts[:-1]):
+        out = ctor(p, out)
+    return out
+
+
 def seq_of(exprs):
     """Right-fold a list of RX expressions into Seq; () for the empty list."""
     exprs = list(exprs)
-    if not exprs:
-        return EmptySeq()
-    out = exprs[-1]
-    for e in reversed(exprs[:-1]):
-        out = Seq(e, out)
-    return out
+    return fold_right(Seq, exprs) if exprs else EmptySeq()
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +427,7 @@ def parse_type(sx):
         parts = [parse_type(p) for p in sx[1:]]
         if len(parts) == 1 and isinstance(parts[0], (CollT, SingleT)):
             return ElemT(parts[0])
-        content = parts[-1]
-        for p in reversed(parts[:-1]):
-            content = SumT(p, content)
-        return ElemT(content)
+        return ElemT(fold_right(SumT, parts))
     if head == "coll" and len(sx) == 2:
         return CollT(parse_type(sx[1]))
     if head == "single" and len(sx) == 2:
@@ -434,11 +435,7 @@ def parse_type(sx):
     if head == "prod" and len(sx) == 3:
         return ProdT(parse_type(sx[1]), parse_type(sx[2]))
     if head == "sum" and len(sx) >= 3:
-        parts = [parse_type(p) for p in sx[1:]]
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = SumT(p, out)
-        return out
+        return fold_right(SumT, [parse_type(p) for p in sx[1:]])
     raise ParseError(f"malformed type form {sexpr.write(sx)!r}")
 
 
@@ -470,24 +467,20 @@ def parse_kind(sx):
     if not sx:
         raise ParseError("empty kind form")
     head = sx[0]
-    if head == "kind-atom":
+    if head == "kind-atom" and len(sx) == 1:
         return KAtom()
-    if head == "kind-data":
+    if head == "kind-data" and len(sx) == 1:
         return KData()
-    if head == "kind-elem":
+    if head == "kind-elem" and len(sx) == 1:
         return KElem()
-    if head == "kind-coll":
+    if head == "kind-coll" and len(sx) == 1:
         return KColl()
-    if head == "kind-any":
+    if head == "kind-any" and len(sx) == 1:
         return KIND_ANY
     if head == "kind-prod" and len(sx) == 3:
         return KProd(parse_kind(sx[1]), parse_kind(sx[2]))
     if head == "kind-sum" and len(sx) >= 3:
-        parts = [parse_kind(p) for p in sx[1:]]
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = KSum(p, out)
-        return out
+        return fold_right(KSum, [parse_kind(p) for p in sx[1:]])
     raise ParseError(f"malformed kind form {sexpr.write(sx)!r}")
 
 
@@ -508,21 +501,51 @@ def print_kind(k):
 
 
 # ---------------------------------------------------------------------------
-# The form tables.  Each regular form of rx/pure-rx, penrc and ra is one
-# row: its head symbol, its AST class and the shapes of its arguments in
-# the order of the class's fields.  The parser, the printer, _children
-# and desugar read these rows; docs/grammar.md describes the same forms.
+# Printing.
+
+
+def to_sexpr(e):
+    if isinstance(e, (Var, NVar)):
+        return e.name
+    form = _BY_CLASS.get(type(e))
+    if form is not None:
+        out = [form.head]
+        for name, shape in form.args:
+            out.append(shape.write(getattr(e, name)))
+        return out
+    if isinstance(e, (FD, IND)):
+        return ["fd" if isinstance(e, FD) else "ind", list(e.lhs),
+                list(e.rhs)]
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def print_expr(e) -> str:
+    return sexpr.write(to_sexpr(e))
+
+
+# ---------------------------------------------------------------------------
+# The form tables.  Each regular form of rx/pure-rx, penrc and ra, and
+# each condition of cond, is one row: its head symbol, its AST class and
+# the shapes of its arguments in the order of the class's fields.  The
+# parser, the printer, _children, map_children and desugar read these
+# rows; docs/grammar.md describes the same forms.
 
 
 class Shape(NamedTuple):
-    """How one argument of a form is read from and written to an
-    s-expression."""
+    """How one argument of a form is read from an s-expression and
+    written back, and which expressions it holds.  read(sx, sub) gets
+    sub, the builder of the row language's expressions; a shape that
+    holds expressions lists them (exprs) and is rebuilt with f applied
+    to each of them (map)."""
     read: Callable
     write: Callable
+    exprs: Callable = None
+    map: Callable = None
 
 
-def _symbol_shape(what):
-    return Shape(lambda sx: _symbol(sx, what), lambda name: name)
+def _leaf(read, write=lambda v: v):
+    """A shape that holds no expression."""
+    return Shape(lambda sx, sub: read(sx), write)
 
 
 def _read_attrs(sx):
@@ -531,19 +554,49 @@ def _read_attrs(sx):
     return tuple(_symbol(a, "an attribute") for a in sx)
 
 
-# An expression of the row's language: read by that language's builder,
-# written by to_sexpr.
-EXPR = Shape(None, None)
-VAR = _symbol_shape("a variable")
-ATOM = Shape(lambda sx: Atom(_symbol(sx, "an atom token")), lambda a: a.token)
-REL = _symbol_shape("a relation name")
-ATTR = _symbol_shape("an attribute")
-ATTRS = Shape(_read_attrs, list)
-KIND = Shape(parse_kind, print_kind)
-TYPE = Shape(parse_type, print_type)
+def _read_cond(sx, sub):
+    if isinstance(sx, str) or not sx:
+        raise ParseError(f"malformed condition {sexpr.write(sx)!r}")
+    if sx[0] in ("and", "or"):
+        if len(sx) < 3:
+            raise ParseError(f"{sx[0]} takes at least 2 conditions")
+        return fold_right(_COND_HEADS[sx[0]].cls,
+                          [_read_cond(p, sub) for p in sx[1:]])
+    return _build_form(sx, _COND_HEADS, "unknown condition form", sub)
 
-# Hand-written instead: variables, for*, cond and its conditions, and the
-# dependencies.  _build_rx reads seq variadic and sing in pure RX only.
+
+def _read_bindings(sx, sub):
+    if isinstance(sx, str):
+        raise ParseError("for* bindings must be a list")
+    bindings = []
+    for b in sx:
+        if isinstance(b, str) or len(b) != 2:
+            raise ParseError("for* binding must be (var source)")
+        bindings.append((_symbol(b[0], "a variable"), sub(b[1])))
+    return tuple(bindings)
+
+
+# An expression of the row's language.  _build_form reads it with sub
+# and map_children applies f to it directly, without read or map.
+EXPR = Shape(None, to_sexpr, lambda e: (e,))
+VAR = _leaf(lambda sx: _symbol(sx, "a variable"))
+ATOM = _leaf(lambda sx: Atom(_symbol(sx, "an atom token")), lambda a: a.token)
+REL = _leaf(lambda sx: _symbol(sx, "a relation name"))
+ATTR = _leaf(lambda sx: _symbol(sx, "an attribute"))
+ATTRS = _leaf(_read_attrs, list)
+KIND = _leaf(parse_kind, print_kind)
+TYPE = _leaf(parse_type, print_type)
+# A condition of cond: a row of COND_FORMS.
+COND = Shape(_read_cond, to_sexpr, _children, map_children)
+# The bindings of for*: ((var, source expression), ...).
+BINDINGS = Shape(_read_bindings,
+                 lambda bs: [[v, to_sexpr(s)] for v, s in bs],
+                 lambda bs: tuple(s for _, s in bs),
+                 lambda bs, f: tuple((v, f(s)) for v, s in bs))
+
+# Hand-written instead: variables and the dependencies.  _rx_builder
+# reads seq variadic and sing in pure RX only, and _read_cond reads
+# and/or variadic.
 RX_FORMS = (
     ("lit", AtomLit, ATOM),
     ("text", Text, EXPR),
@@ -555,9 +608,18 @@ RX_FORMS = (
     ("seq", Seq, EXPR, EXPR),
     ("sing", Sing, EXPR),
     ("for", For, VAR, KIND, EXPR, EXPR),
+    ("for*", MultiFor, BINDINGS, KIND, EXPR),
     ("ifeq", IfEq, EXPR, EXPR, EXPR, EXPR),
     ("ifempty", IfEmpty, EXPR, EXPR, EXPR),
     ("iftype", IfType, EXPR, TYPE, EXPR, EXPR),
+    ("cond", CondIf, COND, EXPR, EXPR),
+)
+
+COND_FORMS = (
+    ("eq", CEq, EXPR, EXPR),
+    ("and", CAnd, COND, COND),
+    ("or", COr, COND, COND),
+    ("not", CNot, COND),
 )
 
 PENRC_FORMS = (
@@ -589,8 +651,8 @@ RA_FORMS = (
 class _Form(NamedTuple):
     head: str
     cls: type
-    args: tuple   # ((field name, shape), ...)
-    exprs: tuple  # the names of the EXPR fields
+    args: tuple     # ((field name, shape), ...)
+    holders: tuple  # the args whose shapes hold expressions
 
 
 def _by_head(table):
@@ -598,15 +660,16 @@ def _by_head(table):
     for head, cls, *shapes in table:
         args = tuple(zip([f.name for f in fields(cls)], shapes, strict=True))
         forms[head] = _Form(head, cls, args,
-                            tuple(name for name, s in args if s is EXPR))
+                            tuple(a for a in args if a[1].exprs))
     return forms
 
 
 _RX_HEADS = _by_head(RX_FORMS)
+_COND_HEADS = _by_head(COND_FORMS)
 _PENRC_HEADS = _by_head(PENRC_FORMS)
 _RA_HEADS = _by_head(RA_FORMS)
 _BY_CLASS = {form.cls: form
-             for heads in (_RX_HEADS, _PENRC_HEADS, _RA_HEADS)
+             for heads in (_RX_HEADS, _COND_HEADS, _PENRC_HEADS, _RA_HEADS)
              for form in heads.values()}
 
 
@@ -620,7 +683,7 @@ def parse(text: str, language: str):
         raise ValueError(f"unknown language tag {language!r}")
     sx = sexpr.read(text)
     if language in ("rx", "pure-rx"):
-        return _build_rx(sx, pure=(language == "pure-rx"))
+        return _rx_builder(pure=(language == "pure-rx"))(sx)
     if language == "penrc":
         return _build_nrc(sx)
     if language == "ra":
@@ -648,69 +711,49 @@ def _head(sx):
     return sx[0]
 
 
-def _build_form(sx, heads, unknown, build, *extra):
+def _build_form(sx, heads, unknown, sub):
     """Build the regular form sx from its row in `heads`: check the arity,
-    then read the arguments left to right, expressions by
-    build(arg, *extra)."""
+    then read the arguments left to right, expressions by sub(arg).
+    Expressions are read directly, and the loop is not a comprehension,
+    so that each level of nesting costs two stack frames (this bounds
+    the nesting that parses)."""
     form = heads.get(sx[0]) if isinstance(sx[0], str) else None
     if form is None:
         raise ParseError(f"{unknown} {sx[0]!r}")
     _arity(sx, len(form.args))
     args = []
     for (_, shape), arg in zip(form.args, sx[1:]):
-        args.append(build(arg, *extra) if shape is EXPR else shape.read(arg))
+        args.append(sub(arg) if shape is EXPR else shape.read(arg, sub))
     return form.cls(*args)
 
 
-def _build_rx(sx, pure):
-    if isinstance(sx, str):
-        return Var(sx)
-    head = _head(sx)
-    if head == "seq":
-        if len(sx) < 3:
-            raise ParseError("seq takes at least 2 arguments")
-        return seq_of([_build_rx(p, pure) for p in sx[1:]])
-    if head == "sing" and not pure:
-        raise ParseError("singleton constructor is pure RX only")
-    if head == "for*":
-        _arity(sx, 3)
-        if isinstance(sx[1], str):
-            raise ParseError("for* bindings must be a list")
-        bindings = []
-        for b in sx[1]:
-            if isinstance(b, str) or len(b) != 2:
-                raise ParseError("for* binding must be (var source)")
-            bindings.append((_symbol(b[0], "a variable"),
-                             _build_rx(b[1], pure)))
-        return MultiFor(tuple(bindings), parse_kind(sx[2]),
-                        _build_rx(sx[3], pure))
-    if head == "cond":
-        _arity(sx, 3)
-        return CondIf(_build_cond(sx[1], pure), _build_rx(sx[2], pure),
-                      _build_rx(sx[3], pure))
-    return _build_form(sx, _RX_HEADS, "unknown form", _build_rx, pure)
+def _rx_builder(pure):
+    """The builder of rx expressions, or of pure-RX ones if pure."""
+    def build(sx):
+        if isinstance(sx, str):
+            return Var(sx)
+        head = _head(sx)
+        if head == "seq":
+            if len(sx) < 3:
+                raise ParseError("seq takes at least 2 arguments")
+            return seq_of([build(p) for p in sx[1:]])
+        if head == "sing" and not pure:
+            raise ParseError("singleton constructor is pure RX only")
+        e = _build_form(sx, _RX_HEADS, "unknown form", build)
+        if pure and isinstance(e, (For, MultiFor)):
+            _require_pure_kind(e.kind)
+        return e
+    return build
 
 
-def _build_cond(sx, pure):
-    if isinstance(sx, str) or not sx:
-        raise ParseError(f"malformed condition {sexpr.write(sx)!r}")
-    head = sx[0]
-    if head == "eq":
-        _arity(sx, 2)
-        return CEq(_build_rx(sx[1], pure), _build_rx(sx[2], pure))
-    if head in ("and", "or"):
-        if len(sx) < 3:
-            raise ParseError(f"{head} takes at least 2 conditions")
-        ctor = CAnd if head == "and" else COr
-        parts = [_build_cond(p, pure) for p in sx[1:]]
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = ctor(p, out)
-        return out
-    if head == "not":
-        _arity(sx, 1)
-        return CNot(_build_cond(sx[1], pure))
-    raise ParseError(f"unknown condition form {head!r}")
+def _require_pure_kind(k):
+    """Pure RX loops range over items: their kinds are sums of atom,
+    data and element kinds."""
+    if isinstance(k, KSum):
+        _require_pure_kind(k.left)
+        _require_pure_kind(k.right)
+    elif not isinstance(k, (KAtom, KData, KElem)):
+        raise ParseError(f"not a pure RX kind: {sexpr.write(print_kind(k))}")
 
 
 def _build_nrc(sx):
@@ -738,45 +781,3 @@ def _build_dep(sx):
         rhs = tuple(_symbol(a, "an attribute") for a in sx[2])
         return FD(lhs, rhs) if head == "fd" else IND(lhs, rhs)
     raise ParseError(f"unknown dependency form {head!r}")
-
-
-# ---------------------------------------------------------------------------
-# Printing.
-
-
-def to_sexpr(e):
-    if isinstance(e, (Var, NVar)):
-        return e.name
-    form = _BY_CLASS.get(type(e))
-    if form is not None:
-        out = [form.head]
-        for name, shape in form.args:
-            v = getattr(e, name)
-            out.append(to_sexpr(v) if shape is EXPR else shape.write(v))
-        return out
-    if isinstance(e, MultiFor):
-        return ["for*", [[v, to_sexpr(s)] for v, s in e.bindings],
-                print_kind(e.kind), to_sexpr(e.body)]
-    if isinstance(e, CondIf):
-        return ["cond", _cond_to_sexpr(e.cond), to_sexpr(e.then),
-                to_sexpr(e.els)]
-    if isinstance(e, (FD, IND)):
-        return ["fd" if isinstance(e, FD) else "ind", list(e.lhs),
-                list(e.rhs)]
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _cond_to_sexpr(c):
-    if isinstance(c, CEq):
-        return ["eq", to_sexpr(c.left), to_sexpr(c.right)]
-    if isinstance(c, CAnd):
-        return ["and", _cond_to_sexpr(c.left), _cond_to_sexpr(c.right)]
-    if isinstance(c, COr):
-        return ["or", _cond_to_sexpr(c.left), _cond_to_sexpr(c.right)]
-    if isinstance(c, CNot):
-        return ["not", _cond_to_sexpr(c.arg)]
-    raise TypeError(f"not a condition: {c!r}")
-
-
-def print_expr(e) -> str:
-    return sexpr.write(to_sexpr(e))

@@ -3,8 +3,11 @@
 Evaluation is total as a Python function: the result is an
 ``EvalOutcome`` that is either ``Defined(value)`` or
 ``Undefined(reason, expr)`` where ``expr`` is the innermost failing
-subexpression.  Set-based RX is parameterized by an ``OracleSuite``
-(the string-content and string-join behaviors of XQuery).
+subexpression.  Both evaluators desugar on entry and run only the core
+forms, so ``expr`` is a core form (``for*`` fails at a ``for``,
+``cond`` at an ``ifeq``).  Set-based RX is parameterized by an
+``OracleSuite`` (the string-content and string-join behaviors of
+XQuery).
 
 Undefinedness reasons for pure RX go slightly beyond the obvious list:
 any operation that iterates its operand (data, children, for-sources,
@@ -18,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .frontend import (AtomLit, CAnd, CEq, CNot, COr, ChildrenF, CondIf,
-                       DataF, Elem, EmptySeq, For, IfEmpty, IfEq, IfType,
-                       MultiFor, NameF, Seq, Sing, Text, Var)
+from .frontend import (AtomLit, ChildrenF, DataF, Elem, EmptySeq, For,
+                       IfEmpty, IfEq, IfType, NameF, Seq, Sing, Text, Var,
+                       desugar)
 from .typeterms import kind_member, member
 from .values import (Atom, DataNode, ElemNode, VSet, is_item, vset)
 
@@ -162,7 +165,7 @@ def _wrap_atoms(w: VSet) -> VSet:
 
 def eval_rx(e, sigma, oracles: OracleSuite = DEFAULT_ORACLES) -> EvalOutcome:
     try:
-        return Defined(_rx(e, dict(sigma), oracles))
+        return Defined(_rx(desugar(e), dict(sigma), oracles))
     except _Undef as u:
         return Undefined(u.reason, u.expr)
 
@@ -208,11 +211,6 @@ def _rx(e, sigma, o):
         if isinstance(e, IfType):
             c = _rx(e.cond, sigma, o)
             return _rx(e.then if member(c, e.type) else e.els, sigma, o)
-        if isinstance(e, MultiFor):
-            return _rx_multifor(e, sigma, o, 0)
-        if isinstance(e, CondIf):
-            branch = e.then if _rx_cond(e.cond, sigma, o) else e.els
-            return _rx(branch, sigma, o)
     except _Undef as u:
         if u.expr is None:
             u.expr = e
@@ -228,43 +226,13 @@ def _rx_eq_test(e, sigma, o):
     return a == b
 
 
-def _rx_multifor(e, sigma, o, idx):
-    if idx == len(e.bindings):
-        return _rx(e.body, sigma, o)
-    var, src_expr = e.bindings[idx]
-    src = _rx(src_expr, sigma, o)
-    parts = []
-    for i in src:
-        if kind_member(i, e.kind):
-            inner = dict(sigma)
-            inner[var] = vset(i)
-            parts.extend(_rx_multifor(e, inner, o, idx + 1))
-    return VSet(parts)
-
-
-def _rx_cond(c, sigma, o):
-    if isinstance(c, CEq):
-        a = rx_data(_rx(c.left, sigma, o), o)
-        b = rx_data(_rx(c.right, sigma, o), o)
-        if len(a) != 1 or len(b) != 1:
-            raise _Undef(EQ_NOT_SINGLETON_ATOM, c)
-        return a == b
-    if isinstance(c, CAnd):
-        return _rx_cond(c.left, sigma, o) and _rx_cond(c.right, sigma, o)
-    if isinstance(c, COr):
-        return _rx_cond(c.left, sigma, o) or _rx_cond(c.right, sigma, o)
-    if isinstance(c, CNot):
-        return not _rx_cond(c.arg, sigma, o)
-    raise TypeError(f"not a condition: {c!r}")
-
-
 # ---------------------------------------------------------------------------
 # Pure RX evaluation (no oracles; values may be bare items).
 
 
 def eval_pure_rx(e, sigma) -> EvalOutcome:
     try:
-        return Defined(_pure(e, dict(sigma)))
+        return Defined(_pure(desugar(e), dict(sigma)))
     except _Undef as u:
         return Undefined(u.reason, u.expr)
 
@@ -341,9 +309,6 @@ def _pure(e, sigma):
         if isinstance(e, IfType):
             c = _pure(e.cond, sigma)
             return _pure(e.then if member(c, e.type) else e.els, sigma)
-        if isinstance(e, (MultiFor, CondIf)):
-            from .frontend import desugar
-            return _pure(desugar(e), sigma)
     except _Undef as u:
         if u.expr is None:
             u.expr = e

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import itertools
 
+from . import sexpr
 from .frontend import (AtomLit, CAnd, CEq, CNot, COr, ChildrenF, CondIf,
                        DataF, Diff, Elem, EmptySeq, FD, For, IND, IfEmpty,
                        IfEq, IfType, MultiFor, NAtomLit, NComp, NEmpty,
                        NEqCond, NFlatten, NKindCond, NPair, NProj1, NProj2,
                        NSing, NUnion, NVar, NameF, Product, Project,
                        RaUnion, Relation, Rename, Select, Seq, Sing, Text,
-                       Var, free_vars, seq_of)
+                       Var, desugar, fold_right, free_vars, map_children,
+                       print_kind, seq_of)
 from .typeterms import (AtomT, CollT, DataT, ElemT, KAtom, KColl, KData,
                         KElem, KProd, KSum, KIND_ANY, ProdT, SingleT, SumT,
                         VoidT)
@@ -113,7 +115,8 @@ def translate_kind(k):
         return K_ELEM_ENC
     if isinstance(k, KSum):
         return KSum(translate_kind(k.left), translate_kind(k.right))
-    raise NotPurePerxError(f"not a pure RX kind: {k!r}")
+    raise NotPurePerxError(
+        f"not a pure RX kind: {sexpr.write(print_kind(k))}")
 
 
 class NotPurePerxError(ValueError):
@@ -141,7 +144,6 @@ class _Fresh:
 def translate_expr(e):
     """Pure PERX expression -> nested expression (the thirteen-clause
     table); rejects emptiness tests and type switches."""
-    from .frontend import desugar
     e = desugar(e)
     fresh = _Fresh(free_vars(e))
     return _tr(e, fresh)
@@ -350,17 +352,11 @@ def _names_cond(vars_, attrs):
 
 
 def _and(conds):
-    out = conds[-1]
-    for c in reversed(conds[:-1]):
-        out = CAnd(c, out)
-    return out
+    return fold_right(CAnd, conds)
 
 
 def _or(conds):
-    out = conds[-1]
-    for c in reversed(conds[:-1]):
-        out = COr(c, out)
-    return out
+    return fold_right(COr, conds)
 
 
 def normalize_relation(rel_expr, attrs, tag="T", fresh=None):
@@ -618,61 +614,14 @@ def desugar_emptiness(e, marker_token="@e"):
     whether the image is a set of data nodes (true only for the empty
     set)."""
     fresh = _Fresh(free_vars(e))
-    return _de(e, fresh, marker_token)
+    marker = AtomLit(Atom(marker_token))
 
+    def rewrite(e):
+        if isinstance(e, IfEmpty):
+            x = fresh()
+            probe = For(x, KIND_ANY, rewrite(e.cond), Elem(marker, EmptySeq()))
+            return IfType(probe, CollT(DataT()), rewrite(e.then),
+                          rewrite(e.els))
+        return map_children(e, rewrite)
 
-def _de(e, fresh, marker):
-    if isinstance(e, IfEmpty):
-        x = fresh()
-        probe = For(x, KIND_ANY, _de(e.cond, fresh, marker),
-                    Elem(AtomLit(Atom(marker)), EmptySeq()))
-        return IfType(probe, CollT(DataT()), _de(e.then, fresh, marker),
-                      _de(e.els, fresh, marker))
-    if isinstance(e, (Var, AtomLit, EmptySeq)):
-        return e
-    if isinstance(e, Text):
-        return Text(_de(e.body, fresh, marker))
-    if isinstance(e, Elem):
-        return Elem(_de(e.name_expr, fresh, marker),
-                    _de(e.content, fresh, marker))
-    if isinstance(e, DataF):
-        return DataF(_de(e.body, fresh, marker))
-    if isinstance(e, NameF):
-        return NameF(_de(e.body, fresh, marker))
-    if isinstance(e, ChildrenF):
-        return ChildrenF(_de(e.body, fresh, marker))
-    if isinstance(e, Seq):
-        return Seq(_de(e.left, fresh, marker), _de(e.right, fresh, marker))
-    if isinstance(e, Sing):
-        return Sing(_de(e.body, fresh, marker))
-    if isinstance(e, For):
-        return For(e.var, e.kind, _de(e.source, fresh, marker),
-                   _de(e.body, fresh, marker))
-    if isinstance(e, IfEq):
-        return IfEq(_de(e.left, fresh, marker), _de(e.right, fresh, marker),
-                    _de(e.then, fresh, marker), _de(e.els, fresh, marker))
-    if isinstance(e, IfType):
-        return IfType(_de(e.cond, fresh, marker), e.type,
-                      _de(e.then, fresh, marker), _de(e.els, fresh, marker))
-    if isinstance(e, MultiFor):
-        return MultiFor(tuple((v, _de(s, fresh, marker))
-                              for v, s in e.bindings),
-                        e.kind, _de(e.body, fresh, marker))
-    if isinstance(e, CondIf):
-        return CondIf(_de_cond(e.cond, fresh, marker),
-                      _de(e.then, fresh, marker), _de(e.els, fresh, marker))
-    raise TypeError(f"not an RX expression: {e!r}")
-
-
-def _de_cond(c, fresh, marker):
-    if isinstance(c, CEq):
-        return CEq(_de(c.left, fresh, marker), _de(c.right, fresh, marker))
-    if isinstance(c, CAnd):
-        return CAnd(_de_cond(c.left, fresh, marker),
-                    _de_cond(c.right, fresh, marker))
-    if isinstance(c, COr):
-        return COr(_de_cond(c.left, fresh, marker),
-                   _de_cond(c.right, fresh, marker))
-    if isinstance(c, CNot):
-        return CNot(_de_cond(c.arg, fresh, marker))
-    raise TypeError(f"not a condition: {c!r}")
+    return rewrite(e)

@@ -49,6 +49,20 @@ def test_eval_undefined_exit_3(tmp_path, capsys):
     assert payload["at"] == "(fst z)"
 
 
+def test_eval_rx_cond_undefined_exit_3(tmp_path, capsys):
+    # cond is sugar for ifeq, so the failing form is the ifeq it becomes,
+    # as in pure RX.
+    expr = write(tmp_path, "e.sexpr", "(cond (eq x y) x x)")
+    env = write(tmp_path, "env.json",
+                json.dumps({"x": {"set": []}, "y": {"set": []}}))
+    for lang in ("rx", "pure-rx"):
+        got = run(capsys, "eval", expr, env, "--lang", lang)
+        reason = ("eq-not-singleton-atom" if lang == "rx"
+                  else "eq-on-nonatom")
+        assert got == (3, json.dumps({"undefined": reason,
+                                      "at": "(ifeq x y x x)"}) + "\n", "")
+
+
 def test_eval_missing_binding_exit_1(tmp_path, capsys):
     expr = write(tmp_path, "e.sexpr", "(seq x y)")
     env = write(tmp_path, "env.json", json.dumps({"x": {"set": []}}))
@@ -242,7 +256,7 @@ def test_check_pure_rx_kind_outside_domain_exit_1(tmp_path, capsys):
     gamma = write(tmp_path, "gamma.sexpr", "((x (coll (atom))))")
     got = run(capsys, "check", expr, "--lang", "pure-rx", "--mode",
               "welldef", "--gamma", gamma)
-    assert got == (1, "", "error: not a pure RX kind: KColl()\n")
+    assert got == (1, "", f"error: {expr}: not a pure RX kind: (kind-coll)\n")
 
 
 def test_check_pure_rx_gamma_outside_domain_exit_1(tmp_path, capsys):
@@ -282,6 +296,16 @@ def test_deep_nesting_exit_1(tmp_path, capsys, command, depth):
                  "--gamma", write(tmp_path, "gamma.sexpr", "()")]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", "error: expression nested too deeply\n")
+
+
+def test_env_nested_too_deeply_exit_1(tmp_path, capsys):
+    depth = 1500
+    expr = write(tmp_path, "e.sexpr", "x")
+    env = write(tmp_path, "env.json",
+                '{"x": ' + '{"set": [' * depth + "]}" * depth + "}")
+    got = run(capsys, "eval", expr, env, "--lang", "penrc")
+    assert got == (1, "", f"error: {env}: malformed environment: "
+                          "nested too deeply\n")
 
 
 # One problem per line: (lang, mode, expr, gamma, output type or None).

@@ -10,11 +10,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from nrcx.cli import main
 
 # Form heads with their argument sorts: E expression, V variable, K kind,
-# T type.
+# T type, C condition of cond, B binding list of for*.
 RX_FORMS = [("text", "E"), ("elem", "EE"), ("data", "E"), ("name", "E"),
             ("children", "E"), ("seq", "EE"), ("sing", "E"),
             ("for", "VKEE"), ("ifeq", "EEEE"), ("ifempty", "EEE"),
-            ("iftype", "ETEE")]
+            ("iftype", "ETEE"), ("for*", "BKE"), ("cond", "CEE")]
 PENRC_FORMS = [("pair", "EE"), ("fst", "E"), ("snd", "E"), ("sing", "E"),
                ("union", "EE"), ("flatten", "E"), ("for", "VEE"),
                ("ifeq", "EEEE"), ("ifkind", "EKEE"), ("ifempty", "EEE")]
@@ -27,11 +27,12 @@ KINDS = ["(kind-any)", "(kind-atom)", "(kind-data)", "(kind-elem)",
 
 def _terms(forms, leaves, max_leaves, sorts=None):
     """S-expression text built from `forms`; an argument of sort E
-    recurses, the other sorts are drawn from `sorts`."""
+    recurses, the other sorts are drawn from `sorts`, which maps each
+    to a strategy built from the expression strategy."""
     def node(kids):
         def build(form):
             head, args = form
-            parts = (kids if a == "E" else sorts[a] for a in args)
+            parts = (kids if a == "E" else sorts[a](kids) for a in args)
             return st.tuples(*parts).map(
                 lambda xs: f"({head} {' '.join(xs)})")
         return st.sampled_from(forms).flatmap(build)
@@ -54,7 +55,30 @@ NRC_TYPES = _terms([("coll", "E"), ("prod", "EE"), ("sum", "EE")],
 PURE_TYPES = _terms([("coll", "E"), ("elem", "E"), ("sum", "EE")],
                     ["(atom)", "(data)", "(void)"], 3)
 ANY_TYPES = _terms(TYPE_FORMS, ["(atom)", "(data)", "(void)"], 4)
-SORTS = {"V": st.just("v"), "K": st.sampled_from(KINDS), "T": ANY_TYPES}
+
+
+def _conds(exprs):
+    """Conditions of cond over `exprs`: eq, variadic and/or, and not."""
+    def compound(conds):
+        return st.one_of(
+            st.tuples(st.sampled_from(["and", "or"]),
+                      st.lists(conds, min_size=2, max_size=3)).map(
+                lambda xs: f"({xs[0]} {' '.join(xs[1])})"),
+            conds.map(lambda c: f"(not {c})"))
+    eq = st.tuples(exprs, exprs).map(lambda xs: f"(eq {xs[0]} {xs[1]})")
+    return st.recursive(eq, compound, max_leaves=3)
+
+
+def _bindings(exprs):
+    """A for* binding list over `exprs`."""
+    binding = st.tuples(st.sampled_from("vw"), exprs).map(
+        lambda xs: f"({xs[0]} {xs[1]})")
+    return st.lists(binding, min_size=1, max_size=2).map(
+        lambda bs: f"({' '.join(bs)})")
+
+
+SORTS = {"V": lambda _: st.just("v"), "K": lambda _: st.sampled_from(KINDS),
+         "T": lambda _: ANY_TYPES, "C": _conds, "B": _bindings}
 LEAVES = ["x", "y", "v", "(empty)", "(lit a)", "(lit b)"]
 RX_EXPRS = _terms(RX_FORMS, LEAVES, 6, SORTS)
 PENRC_EXPRS = _terms(PENRC_FORMS, LEAVES, 6, SORTS)

@@ -192,18 +192,23 @@ def test_desugar_agrees_with_direct_evaluation():
            "(cond (and (eq (name t1) (lit n)) (not (eq t1 t2))) t1 (empty)))")
     e = parse(src, "rx")
     from nrcx.values import ElemNode, VSet, DataNode
-    envs = [
-        {"R": vset(ElemNode(Atom("n"), VSet()),
-                   ElemNode(Atom("m"), VSet()))},
-        {"R": vset(ElemNode(Atom("n"), vset(DataNode(Atom("x")))))},
-        {"R": VSet()},
+    n_x = ElemNode(Atom("n"), vset(DataNode(Atom("x"))))
+    # Each environment with the outcome that the direct evaluation of
+    # the sugar gave: a value, or (reason, failing subexpression).
+    cases = [
+        ({"R": vset(ElemNode(Atom("n"), VSet()),
+                    ElemNode(Atom("m"), VSet()))}, VSet()),
+        ({"R": vset(n_x)}, VSet()),
+        ({"R": VSet()}, VSet()),
+        ({"R": vset(n_x, ElemNode(Atom("m"), VSet()))}, vset(n_x)),
+        ({"R": vset(Atom("a"))}, ("name-not-singleton-elem", "(name t1)")),
     ]
-    for env in envs:
-        o1 = eval_rx(e, env)
-        o2 = eval_rx(desugar(e), env)
-        assert o1.is_defined == o2.is_defined
-        if o1.is_defined:
-            assert o1.value == o2.value
+    for env, want in cases:
+        for form in (e, desugar(e)):
+            out = eval_rx(form, env)
+            got = (out.value if out.is_defined
+                   else (out.reason, print_expr(out.expr)))
+            assert got == want, (env, print_expr(form))
 
 
 # --- printing round trips --------------------------------------------------
@@ -341,6 +346,17 @@ PARSE_ERRORS = [
     ("deps", "(fd A (B))", "fd takes two attribute lists"),
     ("deps", "(ind (A) ((B)))", "expected an attribute, got '(B)'"),
     ("deps", "(mvd (A) (B))", "unknown dependency form 'mvd'"),
+    # pure RX loops range over items only
+    ("pure-rx", "(for v (kind-coll) x x)", "not a pure RX kind: (kind-coll)"),
+    ("pure-rx", "(for v (kind-sum (kind-atom) (kind-coll)) x x)",
+     "not a pure RX kind: (kind-coll)"),
+    ("pure-rx", "(for* ((v x)) (kind-prod (kind-atom) (kind-atom)) v)",
+     "not a pure RX kind: (kind-prod (kind-atom) (kind-atom))"),
+    # nullary kinds take no arguments
+    ("rx", "(for x (kind-atom (wibble) x) y y)",
+     "malformed kind form '(kind-atom (wibble) x)'"),
+    ("penrc", "(ifkind x (kind-any 1 2) y z)",
+     "malformed kind form '(kind-any 1 2)'"),
 ]
 
 
@@ -367,3 +383,20 @@ def test_compiled_ra_round_trip_depth2():
         assert parse(text, "rx") == expr, text
         digest.update(text.encode() + b"\n")
     assert digest.hexdigest() == COMPILED_RA_DEPTH2_SHA256
+
+
+# sha256 of the printed desugar_emptiness of every depth-2 compiled
+# query, one per line: the rewrite keeps for* and cond, and the bytes
+# are those of the per-form rewrite that map_children replaced.
+DESUGARED_RA_DEPTH2_SHA256 = \
+    "0577fc7bfc5b697e739ce2b8e47434b53f01d2f845d95e579892d39377716f77"
+
+
+def test_desugared_compiled_ra_depth2_is_pinned():
+    from nrcx.translate import compile_ra, desugar_emptiness
+    from test_acceptance import RA_SCHEMA, _ra_exprs
+    digest = hashlib.sha256()
+    for q in _ra_exprs(2):
+        expr, _gamma = compile_ra(q, RA_SCHEMA)
+        digest.update(print_expr(desugar_emptiness(expr)).encode() + b"\n")
+    assert digest.hexdigest() == DESUGARED_RA_DEPTH2_SHA256

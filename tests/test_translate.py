@@ -73,6 +73,14 @@ def test_translate_kind_elem():
     assert translate_kind(KElem()) == KProd(KAtom(), KColl())
 
 
+def test_translate_kind_outside_pure_kinds_in_surface_syntax():
+    from nrcx.typeterms import KColl, KProd
+    with pytest.raises(NotPurePerxError) as err:
+        translate_kind(KSum(KAtom(), KProd(KAtom(), KColl())))
+    assert str(err.value) == \
+        "not a pure RX kind: (kind-prod (kind-atom) (kind-coll))"
+
+
 def test_translate_type_compound():
     got = translate_type(CollT(SumT(AtomT(), DataT())))
     assert got == CollT(SumT(AtomT(),
