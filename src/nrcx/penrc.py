@@ -1,99 +1,120 @@
 """Evaluator for the positive-existential nested calculus with kind
-tests, and the k-complexity measure used by the decision procedures."""
+tests, and the k-complexity measure used by the decision procedures.
+
+``compile_penrc`` compiles an expression once into a tree of closures
+(see ``rx.Compiler``); ``eval_penrc`` runs it on one environment, and
+the decision procedures run one compiled program on every environment
+they examine."""
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 from .frontend import (NAtomLit, NComp, NEmpty, NEmptyCond, NEqCond,
                        NFlatten, NKindCond, NPair, NProj1, NProj2, NSing,
                        NUnion, NVar)
-from .rx import Defined, Undefined, _Undef
+# The equality and emptiness tests, and their reason EQ_ON_NONATOM,
+# are those of pure RX.
+from .rx import (EQ_ON_NONATOM, Compiler, _Undef, _constant,  # noqa: F401
+                 _eq_atoms, _if_empty, _kind_filter, _unary, _var)
 from .typeterms import kind_member
-from .values import Atom, Pair, VSet, vset
+from .values import EMPTY_SET, Pair, VSet, vset
 
 PROJ_ON_NONPAIR = "proj-on-nonpair"
 UNION_ON_NONSET = "union-on-nonset"
 FLATTEN_ON_NONSET = "flatten-on-nonset"
 FLATTEN_ON_NONSET_OF_SETS = "flatten-on-nonset-of-sets"
-EQ_ON_NONATOM = "eq-on-nonatom"
 COMPREHENSION_ON_NONSET = "comprehension-on-nonset"
+
+
+def compile_penrc(e):
+    """The evaluator of e: environment -> Defined(value) or
+    Undefined(reason, failing subexpression)."""
+    return Compiler(_PENRC, "a nested-calculus expression").program(e)
 
 
 def eval_penrc(e, sigma):
     """Evaluate e under sigma; returns Defined(value) or
     Undefined(reason, failing subexpression)."""
-    try:
-        return Defined(_ev(e, dict(sigma)))
-    except _Undef as u:
-        return Undefined(u.reason, u.expr)
+    return compile_penrc(e)(sigma)
 
 
-def _ev(e, sigma):
-    try:
-        if isinstance(e, NVar):
-            return sigma[e.name]
-        if isinstance(e, NAtomLit):
-            return e.atom
-        if isinstance(e, NPair):
-            return Pair(_ev(e.left, sigma), _ev(e.right, sigma))
-        if isinstance(e, NProj1):
-            v = _ev(e.body, sigma)
-            if not isinstance(v, Pair):
-                raise _Undef(PROJ_ON_NONPAIR, e)
-            return v.fst
-        if isinstance(e, NProj2):
-            v = _ev(e.body, sigma)
-            if not isinstance(v, Pair):
-                raise _Undef(PROJ_ON_NONPAIR, e)
-            return v.snd
-        if isinstance(e, NEmpty):
-            return VSet()
-        if isinstance(e, NSing):
-            return vset(_ev(e.body, sigma))
-        if isinstance(e, NUnion):
-            l = _ev(e.left, sigma)
-            r = _ev(e.right, sigma)
-            if not (isinstance(l, VSet) and isinstance(r, VSet)):
-                raise _Undef(UNION_ON_NONSET, e)
-            return l.union(r)
-        if isinstance(e, NFlatten):
-            v = _ev(e.body, sigma)
-            if not isinstance(v, VSet):
-                raise _Undef(FLATTEN_ON_NONSET, e)
-            parts = []
-            for s in v:
-                if not isinstance(s, VSet):
-                    raise _Undef(FLATTEN_ON_NONSET_OF_SETS, e)
-                parts.extend(s)
-            return VSet(parts)
-        if isinstance(e, NComp):
-            src = _ev(e.source, sigma)
-            if not isinstance(src, VSet):
-                raise _Undef(COMPREHENSION_ON_NONSET, e)
-            parts = []
-            for v in src:
-                inner = dict(sigma)
-                inner[e.var] = v
-                parts.append(_ev(e.body, inner))
-            return VSet(parts)
-        if isinstance(e, NEqCond):
-            a = _ev(e.left, sigma)
-            b = _ev(e.right, sigma)
-            if not (isinstance(a, Atom) and isinstance(b, Atom)):
-                raise _Undef(EQ_ON_NONATOM, e)
-            return _ev(e.then if a == b else e.els, sigma)
-        if isinstance(e, NKindCond):
-            v = _ev(e.subject, sigma)
-            return _ev(e.then if kind_member(v, e.kind) else e.els, sigma)
-        if isinstance(e, NEmptyCond):
-            # Full-NRC extension; rejected by the decision procedures.
-            v = _ev(e.cond, sigma)
-            empty = isinstance(v, VSet) and len(v) == 0
-            return _ev(e.then if empty else e.els, sigma)
-    except _Undef as u:
-        if u.expr is None:
-            u.expr = e
-        raise
-    raise TypeError(f"not a nested-calculus expression: {e!r}")
+def _pair(c, e):
+    left, right = c.expr(e.left), c.expr(e.right)
+    return lambda r: Pair(left(r), right(r))
+
+
+def _sing(c, e):
+    body = c.expr(e.body)
+    return lambda r: vset(body(r))
+
+
+def _union(c, e):
+    left, right = c.expr(e.left), c.expr(e.right)
+
+    def union(r):
+        a = left(r)
+        b = right(r)
+        if not (isinstance(a, VSet) and isinstance(b, VSet)):
+            raise _Undef(UNION_ON_NONSET, e)
+        return a.union(b)
+    return union
+
+
+def _flatten(c, e):
+    body = c.expr(e.body)
+
+    def flatten(r):
+        v = body(r)
+        if not isinstance(v, VSet):
+            raise _Undef(FLATTEN_ON_NONSET, e)
+        parts = []
+        for s in v.elems:
+            if not isinstance(s, VSet):
+                raise _Undef(FLATTEN_ON_NONSET_OF_SETS, e)
+            parts.extend(s.elems)
+        return VSet(parts)
+    return flatten
+
+
+def _comprehension(c, e):
+    src = c.expr(e.source)
+    slot, body = c.bind(e.var, e.body)
+
+    def comp(r):
+        s = src(r)
+        if not isinstance(s, VSet):
+            raise _Undef(COMPREHENSION_ON_NONSET, e)
+        parts = []
+        for v in s.elems:
+            r[slot] = v
+            parts.append(body(r))
+        return VSet(parts)
+    return comp
+
+
+def _if_kind(c, e):
+    subject, then, els = c.expr(e.subject), c.expr(e.then), c.expr(e.els)
+    classes, exact = _kind_filter(e.kind)
+    kind = e.kind
+
+    def ifkind(r):
+        v = subject(r)
+        if isinstance(v, classes) and (exact or kind_member(v, kind)):
+            return then(r)
+        return els(r)
+    return ifkind
+
+
+# NEmptyCond is the full-NRC extension; the decision procedures reject it.
+_PENRC = {
+    NVar: _var, NAtomLit: lambda c, e: _constant(e.atom), NPair: _pair,
+    NProj1: _unary(Pair, PROJ_ON_NONPAIR, attrgetter("fst")),
+    NProj2: _unary(Pair, PROJ_ON_NONPAIR, attrgetter("snd")),
+    NEmpty: lambda c, e: _constant(EMPTY_SET), NSing: _sing, NUnion: _union,
+    NFlatten: _flatten, NComp: _comprehension, NEqCond: _eq_atoms,
+    NKindCond: _if_kind, NEmptyCond: _if_empty,
+}
 
 
 def complexity(e, k: int) -> int:

@@ -9,6 +9,14 @@ forms, so ``expr`` is a core form (``for*`` fails at a ``for``,
 ``OracleSuite`` (the string-content and string-join behaviors of
 XQuery).
 
+Evaluation is in two steps.  ``compile_rx`` and ``compile_pure_rx``
+compile the desugared expression once into a tree of closures: a
+``Compiler`` looks up the builder of each AST class in the calculus's
+table (``_RX``, ``_PURE``; ``penrc`` has its own), and resolves every
+variable to a slot of a register list.  The program that results maps
+an environment to an outcome, and ``eval_rx`` / ``eval_pure_rx`` run it
+once.
+
 Undefinedness reasons for pure RX go slightly beyond the obvious list:
 any operation that iterates its operand (data, children, for-sources,
 element content, sequence operands, loop bodies under the big union) is
@@ -19,13 +27,14 @@ simulation into the nested calculus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 from .frontend import (AtomLit, ChildrenF, DataF, Elem, EmptySeq, For,
                        IfEmpty, IfEq, IfType, NameF, Seq, Sing, Text, Var,
                        desugar)
-from .typeterms import kind_member, member
-from .values import (Atom, DataNode, ElemNode, VSet, is_item, vset)
+from .typeterms import kind_classes, kind_member, member
+from .values import EMPTY_SET, Atom, DataNode, ElemNode, VSet, vset
 
 
 # Reason codes for undefined outcomes.
@@ -72,6 +81,124 @@ class _Undef(Exception):
         self.expr = expr
 
 
+# The value of a free variable that the environment does not bind; its
+# closure raises KeyError only when it is evaluated.
+_UNBOUND = object()
+
+
+class Compiler:
+    """Compiles one expression into a tree of closures.
+
+    ``builders`` maps each AST class of a calculus to a function
+    ``build(compiler, e)`` that returns the closure of e, built from
+    the closures of its subexpressions (``compiler.expr``).  A closure
+    takes the register list of one run and returns the value of its
+    expression, or raises ``_Undef``.  Variables resolve to registers
+    here: each free variable gets one, filled from the environment when
+    the program runs, and each binder occurrence gets one, written
+    before its body runs.  A subexpression shared by several parents
+    (desugaring shares the branches of ``cond``, the translation its
+    operands) is compiled once per scope.  ``context`` is what the
+    builders of a calculus need besides the expression (the oracles of
+    set-based RX).
+    """
+
+    def __init__(self, builders, what, context=None):
+        self.builders = builders
+        self.what = what
+        self.context = context
+        self.scope = {}
+        self.free = {}
+        self.n_slots = 0
+        # The closures compiled in the current scope, by id of the AST
+        # node (the caller holds the whole tree, so ids stay unique).
+        self._memo = {}
+
+    def expr(self, e):
+        f = self._memo.get(id(e))
+        if f is None:
+            build = self.builders.get(type(e))
+            if build is None:
+                raise TypeError(f"not {self.what}: {e!r}")
+            f = self._memo[id(e)] = build(self, e)
+        return f
+
+    def var(self, name):
+        slot = self.scope.get(name)
+        if slot is not None:
+            return lambda r: r[slot]
+        slot = self.free.get(name)
+        if slot is None:
+            slot = self.free[name] = self._slot()
+
+        def free_var(r):
+            v = r[slot]
+            if v is _UNBOUND:
+                raise KeyError(name)
+            return v
+        return free_var
+
+    def bind(self, var, body):
+        """The slot of a new binding of var, and the closure of body
+        under it."""
+        slot = self._slot()
+        outer, memo = self.scope, self._memo
+        self.scope, self._memo = {**outer, var: slot}, {}
+        try:
+            return slot, self.expr(body)
+        finally:
+            self.scope, self._memo = outer, memo
+
+    def _slot(self):
+        self.n_slots += 1
+        return self.n_slots - 1
+
+    def program(self, e):
+        """The evaluator of e: environment -> EvalOutcome."""
+        root = self.expr(e)
+        n, free = self.n_slots, tuple(self.free.items())
+
+        def run(sigma):
+            r = [None] * n
+            for name, slot in free:
+                r[slot] = sigma[name] if name in sigma else _UNBOUND
+            try:
+                return Defined(root(r))
+            except _Undef as u:
+                return Undefined(u.reason, u.expr)
+        return run
+
+
+def _var(c, e):
+    return c.var(e.name)
+
+
+def _constant(v):
+    return lambda r: v
+
+
+def _unary(classes, reason, result):
+    """The builder of a form with one operand v, which fails with reason
+    unless isinstance(v, classes), and returns result(v)."""
+    def build(c, e):
+        body = c.expr(e.body)
+
+        def unary(r):
+            v = body(r)
+            if not isinstance(v, classes):
+                raise _Undef(reason, e)
+            return result(v)
+        return unary
+    return build
+
+
+def _kind_filter(k):
+    """(classes, exact): v is of kind k iff isinstance(v, classes) and
+    (exact or kind_member(v, k))."""
+    classes = kind_classes(k)
+    return (object, False) if classes is None else (classes, True)
+
+
 @dataclass(frozen=True)
 class OracleSuite:
     """The two oracle functions of the set-based semantics.
@@ -116,125 +243,165 @@ ORACLE_SUITES = {"default": DEFAULT_ORACLES, "alt": ALT_ORACLES}
 
 def rx_data(v: VSet, o: OracleSuite) -> VSet:
     """Extract the atoms of v: atoms kept, data-node contents taken,
-    content() applied to element nodes.  Total."""
+    content() applied to element nodes.  Total; a set of atoms is
+    returned as it is."""
     out = []
-    for i in v:
+    atoms_only = True
+    for i in v.elems:
         if isinstance(i, Atom):
             out.append(i)
-        elif isinstance(i, DataNode):
-            out.append(i.content)
         else:
-            out.append(o.content(i))
-    return VSet(out)
+            atoms_only = False
+            out.append(i.content if isinstance(i, DataNode)
+                       else o.content(i))
+    return v if atoms_only else VSet(out)
 
 
-def rx_name(v: VSet, o: OracleSuite) -> VSet:
+# The helpers that can fail take the failing expression, `at`.
+
+
+def rx_name(v: VSet, o: OracleSuite, at=None) -> VSet:
     # On empty input the set {concat({})} is returned so that every RX
     # result stays a set.
-    if len(v) == 0:
+    elems = v.elems
+    if not elems:
         return vset(o.concat(v))
-    if len(v) == 1 and isinstance(v.elems[0], ElemNode):
-        return vset(v.elems[0].name)
-    raise _Undef(NAME_NOT_SINGLETON_ELEM)
+    if len(elems) == 1 and isinstance(elems[0], ElemNode):
+        return vset(elems[0].name)
+    raise _Undef(NAME_NOT_SINGLETON_ELEM, at)
 
 
-def rx_children(v: VSet) -> VSet:
+def rx_children(v: VSet, at=None) -> VSet:
     out = []
-    for i in v:
+    for i in v.elems:
         if isinstance(i, Atom):
-            raise _Undef(CHILDREN_SAW_ATOM)
+            raise _Undef(CHILDREN_SAW_ATOM, at)
         if isinstance(i, ElemNode):
-            out.extend(i.children)
+            out.extend(i.children.elems)
     return VSet(out)
 
 
-def rx_construct(v: VSet, w: VSet, o: OracleSuite) -> ElemNode:
+def rx_construct(v: VSet, w: VSet, o: OracleSuite, at=None) -> ElemNode:
     d = rx_data(v, o)
-    if len(d) != 1:
-        raise _Undef(CONSTRUCT_NAME_NOT_SINGLETON)
+    if len(d.elems) != 1:
+        raise _Undef(CONSTRUCT_NAME_NOT_SINGLETON, at)
     return ElemNode(d.elems[0], _wrap_atoms(w))
 
 
 def _wrap_atoms(w: VSet) -> VSet:
-    return VSet(DataNode(i) if isinstance(i, Atom) else i for i in w)
+    """w with each atom a wrapped in the data node of a; a set of nodes
+    is returned as it is."""
+    if not any(isinstance(i, Atom) for i in w.elems):
+        return w
+    return VSet([DataNode(i) if isinstance(i, Atom) else i for i in w.elems])
 
 
 # ---------------------------------------------------------------------------
-# Set-based RX evaluation.
+# Set-based RX evaluation.  Every value is a set.
+
+
+def compile_rx(e, oracles: OracleSuite = DEFAULT_ORACLES):
+    """The evaluator of e under the given oracles: environment ->
+    EvalOutcome."""
+    return Compiler(_RX, "an RX expression", oracles).program(desugar(e))
 
 
 def eval_rx(e, sigma, oracles: OracleSuite = DEFAULT_ORACLES) -> EvalOutcome:
-    try:
-        return Defined(_rx(desugar(e), dict(sigma), oracles))
-    except _Undef as u:
-        return Undefined(u.reason, u.expr)
+    return compile_rx(e, oracles)(sigma)
 
 
-def _rx(e, sigma, o):
-    try:
-        if isinstance(e, Var):
-            return sigma[e.name]
-        if isinstance(e, AtomLit):
-            return vset(e.atom)
-        if isinstance(e, Text):
-            v = _rx(e.body, sigma, o)
-            return vset(DataNode(o.concat(rx_data(v, o))))
-        if isinstance(e, Elem):
-            v = _rx(e.name_expr, sigma, o)
-            w = _rx(e.content, sigma, o)
-            return vset(rx_construct(v, w, o))
-        if isinstance(e, DataF):
-            return rx_data(_rx(e.body, sigma, o), o)
-        if isinstance(e, NameF):
-            return rx_name(_rx(e.body, sigma, o), o)
-        if isinstance(e, ChildrenF):
-            return rx_children(_rx(e.body, sigma, o))
-        if isinstance(e, EmptySeq):
-            return VSet()
-        if isinstance(e, Seq):
-            return _rx(e.left, sigma, o).union(_rx(e.right, sigma, o))
-        if isinstance(e, For):
-            src = _rx(e.source, sigma, o)
-            parts = []
-            for i in src:
-                if kind_member(i, e.kind):
-                    inner = dict(sigma)
-                    inner[e.var] = vset(i)
-                    parts.extend(_rx(e.body, inner, o))
-            return VSet(parts)
-        if isinstance(e, IfEq):
-            branch = e.then if _rx_eq_test(e, sigma, o) else e.els
-            return _rx(branch, sigma, o)
-        if isinstance(e, IfEmpty):
-            c = _rx(e.cond, sigma, o)
-            return _rx(e.then if len(c) == 0 else e.els, sigma, o)
-        if isinstance(e, IfType):
-            c = _rx(e.cond, sigma, o)
-            return _rx(e.then if member(c, e.type) else e.els, sigma, o)
-    except _Undef as u:
-        if u.expr is None:
-            u.expr = e
-        raise
-    raise TypeError(f"not an RX expression: {e!r}")
+def _rx_lit(c, e):
+    return _constant(vset(e.atom))
 
 
-def _rx_eq_test(e, sigma, o):
-    a = rx_data(_rx(e.left, sigma, o), o)
-    b = rx_data(_rx(e.right, sigma, o), o)
-    if len(a) != 1 or len(b) != 1:
-        raise _Undef(EQ_NOT_SINGLETON_ATOM, e)
-    return a == b
+def _rx_text(c, e):
+    body, o = c.expr(e.body), c.context
+    return lambda r: vset(DataNode(o.concat(rx_data(body(r), o))))
+
+
+def _rx_elem(c, e):
+    name, content, o = c.expr(e.name_expr), c.expr(e.content), c.context
+    return lambda r: vset(rx_construct(name(r), content(r), o, e))
+
+
+def _rx_data(c, e):
+    body, o = c.expr(e.body), c.context
+    return lambda r: rx_data(body(r), o)
+
+
+def _rx_name(c, e):
+    body, o = c.expr(e.body), c.context
+    return lambda r: rx_name(body(r), o, e)
+
+
+def _rx_children(c, e):
+    body = c.expr(e.body)
+    return lambda r: rx_children(body(r), e)
+
+
+def _seq_union(c, e):
+    left, right = c.expr(e.left), c.expr(e.right)
+    return lambda r: left(r).union(right(r))
+
+
+def _rx_for(c, e):
+    src = c.expr(e.source)
+    slot, body = c.bind(e.var, e.body)
+    classes, exact = _kind_filter(e.kind)
+    kind = e.kind
+
+    def for_(r):
+        parts = []
+        for i in src(r).elems:
+            if isinstance(i, classes) and (exact or kind_member(i, kind)):
+                r[slot] = vset(i)
+                parts.extend(body(r).elems)
+        return VSet(parts)
+    return for_
+
+
+def _rx_ifeq(c, e):
+    left, right = c.expr(e.left), c.expr(e.right)
+    then, els, o = c.expr(e.then), c.expr(e.els), c.context
+
+    def ifeq(r):
+        a = rx_data(left(r), o)
+        b = rx_data(right(r), o)
+        if len(a.elems) != 1 or len(b.elems) != 1:
+            raise _Undef(EQ_NOT_SINGLETON_ATOM, e)
+        return then(r) if a == b else els(r)
+    return ifeq
+
+
+def _rx_ifempty(c, e):
+    cond, then, els = c.expr(e.cond), c.expr(e.then), c.expr(e.els)
+    return lambda r: els(r) if cond(r).elems else then(r)
+
+
+def _iftype(c, e):
+    cond, then, els, t = c.expr(e.cond), c.expr(e.then), c.expr(e.els), e.type
+    return lambda r: then(r) if member(cond(r), t) else els(r)
+
+
+_RX = {
+    Var: _var, AtomLit: _rx_lit, Text: _rx_text, Elem: _rx_elem,
+    DataF: _rx_data, NameF: _rx_name, ChildrenF: _rx_children,
+    EmptySeq: lambda c, e: _constant(EMPTY_SET), Seq: _seq_union,
+    For: _rx_for, IfEq: _rx_ifeq, IfEmpty: _rx_ifempty, IfType: _iftype,
+}
 
 
 # ---------------------------------------------------------------------------
 # Pure RX evaluation (no oracles; values may be bare items).
 
 
+def compile_pure_rx(e):
+    """The evaluator of e: environment -> EvalOutcome."""
+    return Compiler(_PURE, "a pure RX expression").program(desugar(e))
+
+
 def eval_pure_rx(e, sigma) -> EvalOutcome:
-    try:
-        return Defined(_pure(desugar(e), dict(sigma)))
-    except _Undef as u:
-        return Undefined(u.reason, u.expr)
+    return compile_pure_rx(e)(sigma)
 
 
 def _require_set(v, reason, expr):
@@ -243,74 +410,87 @@ def _require_set(v, reason, expr):
     return v
 
 
-def _pure(e, sigma):
-    try:
-        if isinstance(e, Var):
-            return sigma[e.name]
-        if isinstance(e, AtomLit):
-            return e.atom
-        if isinstance(e, Text):
-            v = _pure(e.body, sigma)
-            if not isinstance(v, Atom):
-                raise _Undef(TEXT_ON_NONATOM, e)
-            return DataNode(v)
-        if isinstance(e, Elem):
-            v = _pure(e.name_expr, sigma)
-            w = _pure(e.content, sigma)
-            if not isinstance(v, Atom):
-                raise _Undef(CONSTRUCT_NAME_NOT_ATOM, e)
-            _require_set(w, ITERATION_OVER_NONSET, e)
-            return ElemNode(v, _wrap_atoms(w))
-        if isinstance(e, DataF):
-            v = _require_set(_pure(e.body, sigma), ITERATION_OVER_NONSET, e)
-            return VSet(i if isinstance(i, Atom) else i.content
-                        for i in v if isinstance(i, (Atom, DataNode)))
-        if isinstance(e, NameF):
-            v = _pure(e.body, sigma)
-            if not isinstance(v, ElemNode):
-                raise _Undef(NAME_NOT_ELEM, e)
-            return v.name
-        if isinstance(e, ChildrenF):
-            v = _require_set(_pure(e.body, sigma), ITERATION_OVER_NONSET, e)
-            return rx_children(v)
-        if isinstance(e, EmptySeq):
-            return VSet()
-        if isinstance(e, Sing):
-            v = _pure(e.body, sigma)
-            if not is_item(v):
-                raise _Undef(SINGLETON_OF_NONITEM, e)
-            return vset(v)
-        if isinstance(e, Seq):
-            l = _require_set(_pure(e.left, sigma), SEQ_OPERAND_NOT_SET, e)
-            r = _require_set(_pure(e.right, sigma), SEQ_OPERAND_NOT_SET, e)
-            return l.union(r)
-        if isinstance(e, For):
-            src = _require_set(_pure(e.source, sigma),
-                               ITERATION_OVER_NONSET, e)
-            parts = []
-            for i in src:
-                if kind_member(i, e.kind):
-                    inner = dict(sigma)
-                    inner[e.var] = i
-                    body = _pure(e.body, inner)
-                    _require_set(body, BODY_NOT_SET, e)
-                    parts.extend(body)
-            return VSet(parts)
-        if isinstance(e, IfEq):
-            a = _pure(e.left, sigma)
-            b = _pure(e.right, sigma)
-            if not (isinstance(a, Atom) and isinstance(b, Atom)):
-                raise _Undef(EQ_ON_NONATOM, e)
-            return _pure(e.then if a == b else e.els, sigma)
-        if isinstance(e, IfEmpty):
-            c = _pure(e.cond, sigma)
-            empty = isinstance(c, VSet) and len(c) == 0
-            return _pure(e.then if empty else e.els, sigma)
-        if isinstance(e, IfType):
-            c = _pure(e.cond, sigma)
-            return _pure(e.then if member(c, e.type) else e.els, sigma)
-    except _Undef as u:
-        if u.expr is None:
-            u.expr = e
-        raise
-    raise TypeError(f"not a pure RX expression: {e!r}")
+def _pure_data_of(v: VSet) -> VSet:
+    return VSet([i if isinstance(i, Atom) else i.content
+                 for i in v.elems if isinstance(i, (Atom, DataNode))])
+
+
+def _pure_elem(c, e):
+    name, content = c.expr(e.name_expr), c.expr(e.content)
+
+    def elem(r):
+        v = name(r)
+        w = content(r)
+        if not isinstance(v, Atom):
+            raise _Undef(CONSTRUCT_NAME_NOT_ATOM, e)
+        _require_set(w, ITERATION_OVER_NONSET, e)
+        return ElemNode(v, _wrap_atoms(w))
+    return elem
+
+
+def _pure_children(c, e):
+    body = c.expr(e.body)
+    return lambda r: rx_children(
+        _require_set(body(r), ITERATION_OVER_NONSET, e), e)
+
+
+def _pure_seq(c, e):
+    left, right = c.expr(e.left), c.expr(e.right)
+
+    def seq(r):
+        a = _require_set(left(r), SEQ_OPERAND_NOT_SET, e)
+        b = _require_set(right(r), SEQ_OPERAND_NOT_SET, e)
+        return a.union(b)
+    return seq
+
+
+def _pure_for(c, e):
+    src = c.expr(e.source)
+    slot, body = c.bind(e.var, e.body)
+    classes, exact = _kind_filter(e.kind)
+    kind = e.kind
+
+    def for_(r):
+        parts = []
+        for i in _require_set(src(r), ITERATION_OVER_NONSET, e).elems:
+            if isinstance(i, classes) and (exact or kind_member(i, kind)):
+                r[slot] = i
+                parts.extend(_require_set(body(r), BODY_NOT_SET, e).elems)
+        return VSet(parts)
+    return for_
+
+
+def _eq_atoms(c, e):
+    """The equality test of pure RX and of the nested calculus."""
+    left, right = c.expr(e.left), c.expr(e.right)
+    then, els = c.expr(e.then), c.expr(e.els)
+
+    def ifeq(r):
+        a = left(r)
+        b = right(r)
+        if not (isinstance(a, Atom) and isinstance(b, Atom)):
+            raise _Undef(EQ_ON_NONATOM, e)
+        return then(r) if a == b else els(r)
+    return ifeq
+
+
+def _if_empty(c, e):
+    """The emptiness test of pure RX and of the nested calculus."""
+    cond, then, els = c.expr(e.cond), c.expr(e.then), c.expr(e.els)
+
+    def ifempty(r):
+        v = cond(r)
+        return then(r) if isinstance(v, VSet) and not v.elems else els(r)
+    return ifempty
+
+
+_PURE = {
+    Var: _var, AtomLit: lambda c, e: _constant(e.atom),
+    Text: _unary(Atom, TEXT_ON_NONATOM, DataNode), Elem: _pure_elem,
+    DataF: _unary(VSet, ITERATION_OVER_NONSET, _pure_data_of),
+    NameF: _unary(ElemNode, NAME_NOT_ELEM, attrgetter("name")),
+    ChildrenF: _pure_children, EmptySeq: lambda c, e: _constant(EMPTY_SET),
+    Sing: _unary((Atom, DataNode, ElemNode), SINGLETON_OF_NONITEM, vset),
+    Seq: _pure_seq, For: _pure_for, IfEq: _eq_atoms, IfEmpty: _if_empty,
+    IfType: _iftype,
+}

@@ -89,6 +89,24 @@ def _read_one(toks, tok, line, col):
 
 
 def write(expr) -> str:
+    """The text of expr.  Lists are walked with an explicit stack, so
+    any expression the reader accepts prints back."""
     if isinstance(expr, str):
         return expr
-    return "(" + " ".join(write(e) for e in expr) + ")"
+    parts = ["("]
+    todo = [(expr, 0)]  # (list, index of its next item)
+    while todo:
+        items, i = todo.pop()
+        if i == len(items):
+            parts.append(")")
+            continue
+        if i:
+            parts.append(" ")
+        todo.append((items, i + 1))
+        item = items[i]
+        if isinstance(item, str):
+            parts.append(item)
+        else:
+            parts.append("(")
+            todo.append((item, 0))
+    return "".join(parts)

@@ -151,6 +151,20 @@ def kind_member(v, k) -> bool:
     raise TypeError(f"not a kind term: {k!r}")
 
 
+_KIND_CLASSES = {KAtom: (Atom,), KData: (DataNode,), KElem: (ElemNode,),
+                 KColl: (VSet,)}
+
+
+def kind_classes(k):
+    """The classes whose instances are exactly the values of kind k, as
+    one isinstance tuple, when k is a sum of atom, data, element and
+    collection kinds; None when it has a product in it."""
+    if isinstance(k, KSum):
+        left, right = kind_classes(k.left), kind_classes(k.right)
+        return None if left is None or right is None else left + right
+    return _KIND_CLASSES.get(type(k))
+
+
 def is_nrc_type(t) -> bool:
     """t is a type of the nested calculus: no nodes and no singletons."""
     if isinstance(t, (VoidT, AtomT)):

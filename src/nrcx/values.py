@@ -8,11 +8,17 @@ A value is one of:
 * ``Pair`` -- an ordered pair of values,
 * ``VSet`` -- a finite, duplicate-free, canonically ordered set of values.
 
-All values are immutable and hashable; ``VSet`` canonicalizes on
-construction, so structural equality coincides with set equality.
+Values are hashable and never change after construction; ``VSet``
+canonicalizes on construction, so structural equality coincides with
+set equality.
 
 The canonical total order puts atoms < data nodes < element nodes <
-pairs < sets, with each tier ordered recursively (atoms by token).
+pairs < sets, with each tier ordered recursively (atoms by token).  Each
+value computes its sort key and its hash once, when it is built, from
+the cached keys and hashes of its parts: ``sort_key(v)`` is an
+attribute read, building a set sorts its elements by their cached keys
+without recursing into them, and ``VSet.union`` merges two sorted
+element tuples.
 
 This module also implements the sub-value order ``subvalue``, the join
 ``join``, the minimum ``min_value``, the bounded-cardinality predicates
@@ -22,81 +28,115 @@ wire form used by the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 # Atom tokens starting with "@" are reserved for machinery-generated
 # fresh atoms (decision procedures, reduction tags).
 RESERVED_ATOM_PREFIX = "@"
 
+# The cached sort key and hash of a value.
+_KEY = attrgetter("_key")
+_HASH = attrgetter("_hash")
 
-@dataclass(frozen=True)
-class Atom:
-    token: str
 
-    def __post_init__(self):
-        if not isinstance(self.token, str) or not self.token:
+class _Value:
+    """Equality by the cached key, and the cached hash.  Keys of
+    different shapes differ in their first component, so two values are
+    equal exactly when their classes and keys are."""
+
+    # _single, the set {v}, is built by the first vset(v).
+    __slots__ = ("_key", "_hash", "_single")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self is other or self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+
+class Atom(_Value):
+    __slots__ = ("token",)
+
+    def __init__(self, token: str):
+        if not isinstance(token, str) or not token:
             raise ValueError(f"atom token must be a nonempty string: "
-                             f"{self.token!r}")
+                             f"{token!r}")
+        self.token = token
+        self._key = (0, token)
+        self._hash = hash(token)
 
     def __repr__(self):
         return f"Atom({self.token!r})"
 
 
-@dataclass(frozen=True)
-class DataNode:
-    content: Atom
+class DataNode(_Value):
+    __slots__ = ("content",)
+
+    def __init__(self, content: Atom):
+        self.content = content
+        self._key = (1, content.token)
+        self._hash = hash(self._key)
 
     def __repr__(self):
         return f"DataNode({self.content.token!r})"
 
 
-@dataclass(frozen=True)
-class ElemNode:
-    name: Atom
-    children: "VSet"
+class ElemNode(_Value):
+    __slots__ = ("name", "children")
 
-    def __post_init__(self):
-        for c in self.children:
+    def __init__(self, name: Atom, children: "VSet"):
+        for c in children:
             if not isinstance(c, (DataNode, ElemNode)):
                 raise ValueError("element children must be nodes")
+        self.name = name
+        self.children = children
+        self._key = (2, name.token, children._key[1])
+        self._hash = hash((2, name._hash, children._hash))
 
     def __repr__(self):
         return f"ElemNode({self.name.token!r}, {self.children!r})"
 
 
-@dataclass(frozen=True)
-class Pair:
-    fst: object
-    snd: object
+class Pair(_Value):
+    __slots__ = ("fst", "snd")
+
+    def __init__(self, fst, snd):
+        self.fst = fst
+        self.snd = snd
+        self._key = (3, fst._key, snd._key)
+        self._hash = hash((3, fst._hash, snd._hash))
+
+    def __repr__(self):
+        return f"Pair(fst={self.fst!r}, snd={self.snd!r})"
 
 
 def sort_key(v):
     """Canonical sort key; comparable across all value shapes."""
-    if isinstance(v, Atom):
-        return (0, v.token)
-    if isinstance(v, DataNode):
-        return (1, v.content.token)
-    if isinstance(v, ElemNode):
-        return (2, v.name.token, tuple(sort_key(c) for c in v.children))
-    if isinstance(v, Pair):
-        return (3, sort_key(v.fst), sort_key(v.snd))
-    if isinstance(v, VSet):
-        return (4, tuple(sort_key(e) for e in v))
-    raise TypeError(f"not a value: {v!r}")
+    try:
+        return v._key
+    except AttributeError:
+        raise TypeError(f"not a value: {v!r}") from None
 
 
-class VSet:
+class VSet(_Value):
     """A finite set of values, stored sorted and duplicate-free."""
 
-    __slots__ = ("elems", "_hash")
+    __slots__ = ("elems",)
 
     def __init__(self, elems: Iterable = ()):
-        seen = {}
-        for e in elems:
-            seen[e] = None
-        self.elems = tuple(sorted(seen, key=sort_key))
-        self._hash = hash(("VSet", self.elems))
+        elems = tuple(elems)
+        try:
+            if len(elems) > 1:
+                elems = tuple(sorted(set(elems), key=_KEY))
+            keys = tuple(map(_KEY, elems))
+        except AttributeError:
+            raise TypeError(f"not a value: {_not_a_value(elems)!r}") from None
+        self.elems = elems
+        self._key = (4, keys)
+        self._hash = hash(tuple(map(_HASH, elems)))
 
     def __iter__(self):
         return iter(self.elems)
@@ -108,23 +148,76 @@ class VSet:
         return v in self.elems
 
     def __eq__(self, other):
-        return isinstance(other, VSet) and self.elems == other.elems
+        return isinstance(other, VSet) and (self is other
+                                            or self._key == other._key)
 
-    def __hash__(self):
-        return self._hash
+    __hash__ = _Value.__hash__
 
     def __repr__(self):
         return "VSet({%s})" % ", ".join(repr(e) for e in self.elems)
 
     def union(self, other: "VSet") -> "VSet":
-        return VSet(self.elems + other.elems)
+        """The union, by a merge of the two sorted element tuples."""
+        a, b = self.elems, other.elems
+        if not b:
+            return self
+        if not a:
+            return other
+        if a[-1]._key < b[0]._key:
+            return _sorted_vset(a + b)
+        if b[-1]._key < a[0]._key:
+            return _sorted_vset(b + a)
+        out = []
+        i = j = 0
+        n, m = len(a), len(b)
+        while i < n and j < m:
+            x, y = a[i], b[j]
+            kx, ky = x._key, y._key
+            if kx < ky:
+                out.append(x)
+                i += 1
+            elif ky < kx:
+                out.append(y)
+                j += 1
+            else:
+                out.append(x)
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return _sorted_vset(tuple(out))
+
+
+def _sorted_vset(elems: tuple) -> VSet:
+    """The VSet of a sorted, duplicate-free tuple of values, taken as it
+    is."""
+    s = object.__new__(VSet)
+    s.elems = elems
+    try:
+        s._key = (4, tuple(map(_KEY, elems)))
+    except AttributeError:
+        raise TypeError(f"not a value: {_not_a_value(elems)!r}") from None
+    s._hash = hash(tuple(map(_HASH, elems)))
+    return s
+
+
+def _not_a_value(elems):
+    return next(e for e in elems if not hasattr(e, "_key"))
 
 
 EMPTY_SET = VSet()
 
 
 def vset(*elems) -> VSet:
-    return VSet(elems)
+    """The set of elems.  A value's one-element set is built once and
+    kept on the value."""
+    if len(elems) != 1:
+        return VSet(elems)
+    try:
+        return elems[0]._single
+    except AttributeError:
+        s = elems[0]._single = _sorted_vset(elems)
+        return s
 
 
 def is_item(v) -> bool:
@@ -136,13 +229,18 @@ def is_node(v) -> bool:
 
 
 def is_nrc_value(v) -> bool:
-    if isinstance(v, Atom):
-        return True
-    if isinstance(v, Pair):
-        return is_nrc_value(v.fst) and is_nrc_value(v.snd)
-    if isinstance(v, VSet):
-        return all(is_nrc_value(e) for e in v)
-    return False
+    # A loop, not recursion, so that deeply nested values are checked.
+    todo = [v]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, Pair):
+            todo.append(v.snd)
+            todo.append(v.fst)
+        elif isinstance(v, VSet):
+            todo.extend(v.elems)
+        elif not isinstance(v, Atom):
+            return False
+    return True
 
 
 def is_rx_value(v) -> bool:
@@ -305,38 +403,85 @@ def _collect_atoms(v, out):
 # JSON wire form.
 
 
+# Both directions loop over an explicit stack, so that values nested
+# deeper than the interpreter's recursion limit load and print back.
+
+
 def value_to_json(v):
-    if isinstance(v, Atom):
-        return {"atom": v.token}
-    if isinstance(v, DataNode):
-        return {"data": v.content.token}
-    if isinstance(v, ElemNode):
-        return {"elem": {"name": v.name.token,
-                         "children": [value_to_json(c) for c in v.children]}}
-    if isinstance(v, Pair):
-        return {"pair": [value_to_json(v.fst), value_to_json(v.snd)]}
-    if isinstance(v, VSet):
-        return {"set": [value_to_json(e) for e in v]}
-    raise TypeError(f"not a value: {v!r}")
+    root = []
+    todo = [(v, root)]
+    while todo:
+        v, out = todo.pop()
+        if isinstance(v, Atom):
+            out.append({"atom": v.token})
+        elif isinstance(v, DataNode):
+            out.append({"data": v.content.token})
+        elif isinstance(v, ElemNode):
+            children = []
+            out.append({"elem": {"name": v.name.token,
+                                 "children": children}})
+            todo.extend((c, children) for c in reversed(v.children.elems))
+        elif isinstance(v, Pair):
+            parts = []
+            out.append({"pair": parts})
+            todo.append((v.snd, parts))
+            todo.append((v.fst, parts))
+        elif isinstance(v, VSet):
+            elems = []
+            out.append({"set": elems})
+            todo.extend((e, elems) for e in reversed(v.elems))
+        else:
+            raise TypeError(f"not a value: {v!r}")
+    return root[0]
 
 
 def value_from_json(obj):
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise ValueError(f"malformed value JSON: {obj!r}")
-    (tag, body), = obj.items()
-    if tag == "atom":
-        return Atom(body)
-    if tag == "data":
-        return DataNode(Atom(body))
-    if tag == "elem":
-        return ElemNode(Atom(body["name"]),
-                        VSet(value_from_json(c) for c in body["children"]))
-    if tag == "pair":
-        fst, snd = body
-        return Pair(value_from_json(fst), value_from_json(snd))
-    if tag == "set":
-        return VSet(value_from_json(e) for e in body)
-    raise ValueError(f"unknown value tag: {tag!r}")
+    """Parse the JSON form of a value.  Parts are read depth first, left
+    to right, so the first malformed part raises as it would in a
+    recursive reader."""
+    # Each frame is [tag, element name, iterator over the unread parts,
+    # values of the parts read so far].
+    frames = []
+    while True:
+        if not isinstance(obj, dict) or len(obj) != 1:
+            raise ValueError(f"malformed value JSON: {obj!r}")
+        (tag, body), = obj.items()
+        if tag == "atom":
+            v = Atom(body)
+        elif tag == "data":
+            v = DataNode(Atom(body))
+        else:
+            if tag == "elem":
+                name = Atom(body["name"])
+                parts = iter(body["children"])
+            elif tag == "pair":
+                fst, snd = body
+                name, parts = None, iter((fst, snd))
+            elif tag == "set":
+                name, parts = None, iter(body)
+            else:
+                raise ValueError(f"unknown value tag: {tag!r}")
+            frames.append([tag, name, parts, []])
+            v = None
+        while frames:
+            if v is not None:
+                frames[-1][3].append(v)
+            tag, name, parts, done = frames[-1]
+            obj = next(parts, _END)
+            if obj is not _END:
+                break
+            frames.pop()
+            if tag == "elem":
+                v = ElemNode(name, VSet(done))
+            elif tag == "pair":
+                v = Pair(*done)
+            else:
+                v = VSet(done)
+        else:
+            return v
+
+
+_END = object()
 
 
 def env_to_json(sigma: Mapping) -> dict:

@@ -298,6 +298,23 @@ def test_deep_nesting_exit_1(tmp_path, capsys, command, depth):
     assert (code, out, err) == (1, "", "error: expression nested too deeply\n")
 
 
+def test_deep_rx_chain_prints(tmp_path, capsys):
+    # The printer walks as deep as the parser reads.
+    depth = 400
+    text = "(text " * depth + "(empty)" + ")" * depth
+    got = run(capsys, "parse", write(tmp_path, "e.sexpr", text), "--lang", "rx")
+    assert got == (0, text + "\n", "")
+
+
+def test_deep_environment_loads_and_prints_back(tmp_path, capsys):
+    depth = 400
+    value = '{"set": [' * depth + "]}" * depth
+    env = write(tmp_path, "env.json", '{"x": ' + value + "}")
+    got = run(capsys, "eval", write(tmp_path, "e.sexpr", "x"), env,
+              "--lang", "penrc")
+    assert got == (0, value + "\n", "")
+
+
 def test_env_nested_too_deeply_exit_1(tmp_path, capsys):
     depth = 1500
     expr = write(tmp_path, "e.sexpr", "x")

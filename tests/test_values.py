@@ -201,3 +201,64 @@ def test_json_rejects_garbage():
         value_from_json({"nope": 1})
     with pytest.raises(ValueError):
         value_from_json({"atom": "a", "set": []})
+
+
+# --- cached sort keys --------------------------------------------------------
+
+
+def _reference_sort_key(v):
+    """The recursive sort key that values now cache when built."""
+    if isinstance(v, Atom):
+        return (0, v.token)
+    if isinstance(v, DataNode):
+        return (1, v.content.token)
+    if isinstance(v, ElemNode):
+        return (2, v.name.token,
+                tuple(_reference_sort_key(c) for c in v.children))
+    if isinstance(v, Pair):
+        return (3, _reference_sort_key(v.fst), _reference_sort_key(v.snd))
+    if isinstance(v, VSet):
+        return (4, tuple(_reference_sort_key(e) for e in v))
+    raise TypeError(f"not a value: {v!r}")
+
+
+def _key_pool():
+    from nrcx.frontend import parse_type
+    from nrcx.sexpr import read as sread
+    from nrcx.typeterms import iter_values
+    from test_acceptance import GAMMA_POOL
+    # GAMMA_POOL has no nodes; two types with data and element nodes.
+    sources = GAMMA_POOL + ["(coll (sum (data) (elem (data))))",
+                            "(elem (coll (data)))"]
+    pool = []
+    for src in sources:
+        for card in (0, 1, 2):
+            pool.extend(iter_values(parse_type(sread(src)), card, [a, b]))
+    return list(dict.fromkeys(pool))
+
+
+def test_cached_sort_key_matches_recursive_reference():
+    pool = _key_pool()
+    assert len(pool) > 80
+    for v in pool:
+        assert sort_key(v) == _reference_sort_key(v), v
+        # A value rebuilt from its parts is equal, with the same hash.
+        copy = value_from_json(value_to_json(v))
+        assert copy is not v
+        assert copy == v and hash(copy) == hash(v), v
+    for v in pool:
+        for w in pool:
+            same = _reference_sort_key(v) == _reference_sort_key(w)
+            assert (v == w) == same, (v, w)
+            if same:
+                assert hash(v) == hash(w)
+
+
+def test_union_merge_matches_constructor():
+    sets = [v for v in _key_pool() if isinstance(v, VSet)]
+    for s in sets:
+        for t in sets:
+            merged = s.union(t)
+            built = VSet(s.elems + t.elems)
+            assert merged.elems == built.elems, (s, t)
+            assert sort_key(merged) == _reference_sort_key(built)
