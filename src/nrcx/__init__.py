@@ -16,9 +16,9 @@ from .values import (Atom, DataNode, ElemNode, Pair, VSet, vset, EMPTY_SET,
                      apply_atom_map, atoms_of, value_to_json, value_from_json,
                      env_to_json, env_from_json)
 from .typeterms import (VoidT, AtomT, DataT, ElemT, CollT, SingleT, ProdT,
-                        SumT, KAtom, KData, KElem, KColl, KProd, KSum,
-                        KIND_ANY, member, kind_member, rank, type_complexity,
-                        iter_values, enumerate_values)
+                        SumT, DataEncT, KAtom, KData, KElem, KColl, KProd,
+                        KSum, KIND_ANY, member, kind_member, rank,
+                        type_complexity, iter_values, enumerate_values)
 from .frontend import (parse, print_expr, parse_type, print_type, parse_kind,
                        print_kind, desugar, free_vars, literals)
 from .rx import (Defined, Undefined, EvalOutcome, OracleSuite,

@@ -10,7 +10,11 @@ streaming environments in canonical order so an early counterexample is
 found long before the space is exhausted.
 
 The pure RX procedures reduce to the nested ones through the value and
-expression encodings in :mod:`nrcx.translate`.
+expression encodings in :mod:`nrcx.translate`.  The translated types
+hold exactly the encodings of pure values, so the search enumerates
+the image of the encoding and nothing off it, and each environment it
+meets decodes to a pure one.  The bounds come from the translated
+problem, as the paper derives them.
 """
 
 from __future__ import annotations
@@ -24,8 +28,7 @@ from .penrc import complexity, compile_penrc
 # perfbench/tracing.py wraps nrcx.decide.eval_penrc, so the name stays;
 # the search runs the program compile_penrc returns instead.
 from .penrc import eval_penrc  # noqa: F401
-from .translate import (NotInImageError, dec_env, translate_expr,
-                        translate_type)
+from .translate import dec_env, translate_expr, translate_type
 from .typeterms import (CollT, VoidT, member, rank, type_complexity,
                         iter_canonical_values, EnumerationBudgetError)
 # perfbench/tracing.py wraps nrcx.decide.iter_values, so the name stays.
@@ -274,19 +277,14 @@ def _output_type(mode, tau):
 def _search(e, gamma, mode, tau, card, atoms, fresh, pure, options):
     """Search for an environment on which e is undefined (tau None) or
     outputs a value outside tau (where undefinedness raises
-    PreconditionError).  A pure problem fails only on encodings of pure
-    environments, and its counterexample is decoded.  "sat" flips the
-    result of the type check against coll(void)."""
+    PreconditionError).  The counterexample of a pure problem is
+    decoded.  "sat" flips the result of the type check against
+    coll(void)."""
     if not atoms:
         atoms, fresh = fresh_atoms(1), fresh_atoms(1)
     evaluate = compile_penrc(e)
 
     def failing(env):
-        if pure:
-            try:
-                dec_env(env)
-            except NotInImageError:
-                return False  # not the encoding of any pure environment
         out = evaluate(env)
         if tau is None:
             return not out.is_defined

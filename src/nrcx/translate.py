@@ -27,9 +27,9 @@ from .frontend import (AtomLit, CAnd, CEq, CNot, COr, ChildrenF, CondIf,
                        RaUnion, Relation, Rename, Select, Seq, Sing, Text,
                        Var, desugar, fold_right, free_vars, map_children,
                        print_kind, seq_of)
-from .typeterms import (AtomT, CollT, DataT, ElemT, KAtom, KColl, KData,
-                        KElem, KProd, KSum, KIND_ANY, ProdT, SingleT, SumT,
-                        VoidT)
+from .typeterms import (AtomT, CollT, DataEncT, DataT, ElemT, KAtom, KColl,
+                        KData, KElem, KProd, KSum, KIND_ANY, ProdT, SingleT,
+                        SumT, VoidT)
 from .values import (Atom, DataNode, ElemNode, Pair, VSet, vset)
 
 # Kinds of encoded nodes.
@@ -87,22 +87,33 @@ def dec_env(sigma):
 
 
 def translate_type(t):
-    """Pure RX type -> nested type with v in t iff enc(v) in t'."""
-    if isinstance(t, AtomT):
-        return AtomT()
-    if isinstance(t, DataT):
-        return ProdT(ProdT(AtomT(), AtomT()), CollT(VoidT()))
+    """Pure RX type -> nested type with v in t iff enc(v) in t', whose
+    values are all encodings (data translates to DataEncT).  Pure RX
+    types are items, (coll ITEM) and sums of them, and an element's
+    content is a union of node types; TypeError outside that grammar,
+    where a type can hold values off the image of enc."""
+    if isinstance(t, CollT):
+        return CollT(_translate_item(t.item))
+    if isinstance(t, SumT):
+        return SumT(translate_type(t.left), translate_type(t.right))
+    return _translate_item(t)
+
+
+def _translate_item(t, nodes=False):
+    """An item type, or with nodes set a union of node types."""
+    if isinstance(t, VoidT) or isinstance(t, AtomT) and not nodes:
+        return t
     if isinstance(t, ElemT):
         if isinstance(t.content, (CollT, SingleT)):
             raise ValueError("set-based RX element types are not translatable")
-        return ProdT(AtomT(), CollT(translate_type(t.content)))
-    if isinstance(t, CollT):
-        return CollT(translate_type(t.item))
+        return ProdT(AtomT(), CollT(_translate_item(t.content, True)))
     if isinstance(t, SumT):
-        return SumT(translate_type(t.left), translate_type(t.right))
-    if isinstance(t, VoidT):
-        return VoidT()
-    raise TypeError(f"not a pure RX type: {t!r}")
+        return SumT(_translate_item(t.left, nodes),
+                    _translate_item(t.right, nodes))
+    if isinstance(t, DataT):
+        return DataEncT()
+    raise TypeError(
+        f"not a pure RX {'node' if nodes else 'item'} type: {t!r}")
 
 
 def translate_kind(k):

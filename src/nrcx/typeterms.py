@@ -9,6 +9,9 @@ One family of constructors covers all grammars:
   type that is itself a ``CollT`` or ``SingleT``.
 * Pure RX types use ``CollT(i) | i | SumT`` with ``ElemT`` carrying a
   union of node types (``VoidT`` for the empty union).
+* ``DataEncT`` is the image of pure RX data nodes under the value
+  encoding, the one nested type that the translation of pure RX types
+  adds.
 
 Kinds use ``KAtom | KData | KElem | KColl | KProd | KSum``.
 """
@@ -18,7 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .values import (Atom, DataNode, ElemNode, Pair, VSet, sort_key)
+from .sexpr import write
+from .values import (EMPTY_SET, Atom, DataNode, ElemNode, Pair, VSet,
+                     sort_key)
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,19 @@ class ProdT:
 class SumT:
     left: object
     right: object
+
+
+@dataclass(frozen=True)
+class DataEncT:
+    """The encodings ((a, a), {}) of data nodes.  The paper translates
+    data to PAPER_DATA_T, ((atom x atom) x {void}), which also holds
+    ((a, b), {}) with a != b, off the image of the encoding; this term
+    holds the image only.  Its rank, type complexity, value count bound
+    and printed form are PAPER_DATA_T's, so the bounds derived from a
+    translated type are the paper's."""
+
+
+PAPER_DATA_T = ProdT(ProdT(AtomT(), AtomT()), CollT(VoidT()))
 
 
 @dataclass(frozen=True)
@@ -130,6 +148,8 @@ def member(v, t) -> bool:
                 and member(v.fst, t.left) and member(v.snd, t.right))
     if isinstance(t, SumT):
         return member(v, t.left) or member(v, t.right)
+    if isinstance(t, DataEncT):
+        return member(v, PAPER_DATA_T) and v.fst.fst == v.fst.snd
     raise TypeError(f"not a type term: {t!r}")
 
 
@@ -173,7 +193,7 @@ def is_nrc_type(t) -> bool:
         return is_nrc_type(t.item)
     if isinstance(t, (ProdT, SumT)):
         return is_nrc_type(t.left) and is_nrc_type(t.right)
-    return False
+    return isinstance(t, DataEncT)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +214,8 @@ def rank(t, k: int) -> int:
         return max(rank(t.left, k), rank(t.right, k))
     if isinstance(t, CollT):
         return k * rank(t.item, k)
+    if isinstance(t, DataEncT):
+        return rank(PAPER_DATA_T, k)
     raise TypeError(f"not an NRC type: {t!r}")
 
 
@@ -207,6 +229,8 @@ def type_complexity(t) -> int:
         return type_complexity(t.left) + type_complexity(t.right)
     if isinstance(t, CollT):
         return max(1, type_complexity(t.item))
+    if isinstance(t, DataEncT):
+        return type_complexity(PAPER_DATA_T)
     raise TypeError(f"not an NRC type: {t!r}")
 
 
@@ -216,6 +240,13 @@ def type_complexity(t) -> int:
 
 class EnumerationBudgetError(RuntimeError):
     """The requested enumeration would exceed the configured budget."""
+
+
+def _over_budget(t, budget):
+    # frontend imports this module, so its printer is imported here.
+    from .frontend import print_type
+    return EnumerationBudgetError(
+        f"enumeration of {write(print_type(t))} exceeds budget {budget}")
 
 
 DEFAULT_VALUE_BUDGET = 10 ** 6
@@ -242,6 +273,8 @@ def count_values_upper(t, k: int, n_atoms: int) -> int:
         return count_values_upper(t.left, k, n_atoms) * count_values_upper(t.right, k, n_atoms)
     if isinstance(t, SumT):
         return count_values_upper(t.left, k, n_atoms) + count_values_upper(t.right, k, n_atoms)
+    if isinstance(t, DataEncT):
+        return count_values_upper(PAPER_DATA_T, k, n_atoms)
     raise TypeError(f"not a type term: {t!r}")
 
 
@@ -296,12 +329,10 @@ def _materialize(t, k, atoms, budget):
     t, none pruned, since a set or a pair may still reach a canonical
     order through its other parts."""
     if count_values_upper(t, k, len(atoms)) > budget:
-        raise EnumerationBudgetError(
-            f"enumeration of {t!r} exceeds budget {budget}")
+        raise _over_budget(t, budget)
     out = [v for v, _ in _iter(t, k, atoms, budget, {}, 0)]
     if len(out) > budget:
-        raise EnumerationBudgetError(
-            f"enumeration of {t!r} exceeds budget {budget}")
+        raise _over_budget(t, budget)
     return out
 
 
@@ -386,6 +417,10 @@ def _iter(t, k, atoms, budget, index, seen):
         yield from _merge_unique(
             _iter(t.left, k, atoms, budget, index, seen),
             _iter(t.right, k, atoms, budget, index, seen))
+    elif isinstance(t, DataEncT):
+        # The subsequence of PAPER_DATA_T's stream with equal atoms.
+        for a, s in _iter_atoms(atoms, index, seen):
+            yield Pair(Pair(a, a), EMPTY_SET), s
     else:
         raise TypeError(f"not a type term: {t!r}")
 
@@ -462,8 +497,7 @@ def enumerate_values(t, k: int, atoms, budget: int = DEFAULT_VALUE_BUDGET):
     for v in iter_values(t, k, atoms, budget):
         out.append(v)
         if len(out) > budget:
-            raise EnumerationBudgetError(
-                f"enumeration of {t!r} exceeds budget {budget}")
+            raise _over_budget(t, budget)
     return out
 
 

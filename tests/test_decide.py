@@ -173,11 +173,13 @@ def test_pure_rx_name_on_element_type():
 
 
 def test_pure_rx_children_of_element_collection_holds():
-    # 98% of the encoded environments are off the image of enc; with the
-    # fresh-atom renamings never built the default 60 s timeout suffices.
+    # The translated type holds only encodings, so the search examines
+    # 123 environments; the paper's translated type gives 49,342 at the
+    # same bounds, all but these 123 off the image of enc.
     e = parse("(children x)", "pure-rx")
     v = well_defined_pure_rx(e, {"x": T("(coll (elem (data)))")})
     assert v.result is True
+    assert v.bounds == {"card": 2, "atoms": 10, "examined": 123}
 
 
 def test_pure_rx_singleton_typechecks():

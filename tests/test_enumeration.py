@@ -4,6 +4,10 @@ The reference is the post-hoc filter the enumerator used to apply: build
 every environment, then drop those whose fresh atoms do not make their
 first appearances in supply order.  The pruned enumerator must yield
 exactly the environments the filter keeps, in the same order.
+
+The translated pure RX types are checked against the paper's
+translation the same way: their stream must be the paper type's stream
+with the environments off the image of the encoding removed.
 """
 
 import itertools
@@ -16,15 +20,17 @@ from nrcx.sexpr import read as sread
 from nrcx.translate import translate_type
 from nrcx.values import Atom, DataNode, ElemNode, Pair, VSet
 
+from oracles import on_image, paper_type
 from test_acceptance import GAMMA_POOL
 
 PURE_POOL = ["(atom)", "(data)", "(coll (atom))", "(coll (data))",
              "(coll (sum (atom) (data)))", "(elem (data))",
              "(coll (elem (data)))"]
 
+PURE_TYPES = [parse_type(sread(s)) for s in PURE_POOL]
+
 TYPES = ([parse_type(sread(s)) for s in GAMMA_POOL]
-         + [translate_type(parse_type(sread(s))) for s in PURE_POOL]
-         + [parse_type(sread(s)) for s in PURE_POOL])
+         + [paper_type(t) for t in PURE_TYPES] + PURE_TYPES)
 
 # Literal tokens that sort before the fresh atoms' and between them.
 LITERALS = [Atom("!"), Atom("@0x")]
@@ -101,6 +107,31 @@ def test_pruned_enumeration_matches_reference_filter(i):
             # A complete stream must also end where the reference does.
             got = list(itertools.islice(
                 iter_environments(gamma, card, atoms, prune=prune,
+                                  fresh=fresh),
+                len(expected) + complete))
+            assert got == expected, (gamma, card, atoms, prune)
+
+
+@pytest.mark.parametrize("i", range(len(PURE_POOL)),
+                         ids=lambda i: PURE_POOL[i])
+def test_translated_stream_is_paper_stream_on_image(i):
+    t, u = PURE_TYPES[i], PURE_TYPES[(i + 1) % len(PURE_TYPES)]
+    for gamma, card, n_fresh, n_lits in itertools.product(
+            ({"x": t}, {"x": t, "y": u}), range(4), range(5), (0, 2)):
+        fresh = fresh_atoms(n_fresh)
+        atoms = LITERALS[:n_lits] + fresh
+        if not atoms:
+            continue
+        paper = {x: paper_type(s) for x, s in gamma.items()}
+        translated = {x: translate_type(s) for x, s in gamma.items()}
+        for prune in (True, False):
+            stream = list(itertools.islice(
+                iter_environments(paper, card, atoms, prune=prune,
+                                  fresh=fresh), CAP + 1))
+            complete = len(stream) <= CAP
+            expected = [env for env in stream[:CAP] if on_image(env)]
+            got = list(itertools.islice(
+                iter_environments(translated, card, atoms, prune=prune,
                                   fresh=fresh),
                 len(expected) + complete))
             assert got == expected, (gamma, card, atoms, prune)

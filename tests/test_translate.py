@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from nrcx.frontend import (Diff, FD, IND, Product, Project, RaUnion,
-                           Relation, Rename, Select, Var, free_vars, parse)
+                           Relation, Rename, Select, Var, free_vars, parse,
+                           print_type)
 from nrcx.penrc import eval_penrc
 from nrcx.rx import ALT_ORACLES, DEFAULT_ORACLES, eval_pure_rx, eval_rx
 from nrcx.translate import (NotAnEncodingError, NotInImageError,
@@ -14,11 +15,15 @@ from nrcx.translate import (NotAnEncodingError, NotInImageError,
                             encode_relation, eval_ra, normalize_relation,
                             ra_schema, relation_satisfies, translate_expr,
                             translate_kind, translate_type)
-from nrcx.typeterms import (AtomT, CollT, DataT, ElemT, KAtom, KData, KElem,
-                            KSum, ProdT, SumT, VoidT, enumerate_values,
-                            kind_member, member)
+from nrcx.typeterms import (AtomT, CollT, DataEncT, DataT, ElemT, KAtom,
+                            KData, KElem, KSum, ProdT, SumT, VoidT,
+                            count_values_upper, enumerate_values,
+                            is_nrc_type, kind_member, member, rank,
+                            type_complexity)
 from nrcx.values import (Atom, DataNode, ElemNode, Pair, VSet, vset,
                          EMPTY_SET)
+
+from oracles import decodes
 
 a, b, n = Atom("a"), Atom("b"), Atom("n")
 
@@ -63,9 +68,32 @@ def test_dec_rejects_non_images():
 # --- type and kind translation ---------------------------------------------
 
 
+PAPER_DATA = ProdT(ProdT(AtomT(), AtomT()), CollT(VoidT()))
+
+
+def _has_paper_measures(t, paper):
+    """t has the rank, type complexity, value count bound and printed
+    form of the paper's translation, and holds exactly its values that
+    decode."""
+    assert is_nrc_type(t)
+    assert type_complexity(t) == type_complexity(paper)
+    assert print_type(t) == print_type(paper)
+    for k in range(4):
+        assert rank(t, k) == rank(paper, k)
+        for n_atoms in range(4):
+            assert count_values_upper(t, k, n_atoms) == \
+                count_values_upper(paper, k, n_atoms)
+    values = enumerate_values(paper, 2, [a, b])
+    assert [v for v in values if member(v, t)] == \
+        [v for v in values if decodes(v)] == enumerate_values(t, 2, [a, b])
+
+
 def test_translate_type_data():
-    assert translate_type(DataT()) == \
-        ProdT(ProdT(AtomT(), AtomT()), CollT(VoidT()))
+    # The image of enc in the paper's ((atom x atom) x {void}).
+    got = translate_type(DataT())
+    assert got == DataEncT()
+    _has_paper_measures(got, PAPER_DATA)
+    assert not member(Pair(Pair(a, b), EMPTY_SET), got)
 
 
 def test_translate_kind_elem():
@@ -83,8 +111,8 @@ def test_translate_kind_outside_pure_kinds_in_surface_syntax():
 
 def test_translate_type_compound():
     got = translate_type(CollT(SumT(AtomT(), DataT())))
-    assert got == CollT(SumT(AtomT(),
-                             ProdT(ProdT(AtomT(), AtomT()), CollT(VoidT()))))
+    assert got == CollT(SumT(AtomT(), DataEncT()))
+    _has_paper_measures(got, CollT(SumT(AtomT(), PAPER_DATA)))
 
 
 def test_type_translation_tracks_membership():
