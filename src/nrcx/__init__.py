@@ -12,13 +12,12 @@ equivalence.
 """
 
 from .values import (Atom, DataNode, ElemNode, Pair, VSet, vset, EMPTY_SET,
-                     subvalue, join, JoinError, min_value, in_Vk, in_Ek,
-                     apply_atom_map, atoms_of, value_to_json, value_from_json,
-                     env_to_json, env_from_json)
+                     subvalue, value_to_json, value_from_json, env_to_json,
+                     env_from_json)
 from .typeterms import (VoidT, AtomT, DataT, ElemT, CollT, SingleT, ProdT,
                         SumT, DataEncT, KAtom, KData, KElem, KColl, KProd,
                         KSum, KIND_ANY, member, kind_member, rank,
-                        type_complexity, iter_values, enumerate_values)
+                        type_complexity, iter_values)
 from .frontend import (parse, print_expr, parse_type, print_type, parse_kind,
                        print_kind, desugar, free_vars, literals)
 from .rx import (Defined, Undefined, EvalOutcome, OracleSuite,

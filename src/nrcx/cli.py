@@ -54,15 +54,13 @@ def _read_file(path):
 
 
 def _write_out(text, out):
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as f:
             f.write(text)
-            if not text.endswith("\n"):
-                f.write("\n")
 
 
 def _load_expr(path, lang):
@@ -85,9 +83,17 @@ def _load_env(path):
             f"{path}: malformed environment: nested too deeply") from exc
 
 
-def _load_gamma(path):
+def _load_sexpr(path, build, many=False):
+    """build(sexpr.read, or with many read_all, of path's text)."""
+    read = sexpr.read_all if many else sexpr.read
     try:
-        forms = sexpr.read(_read_file(path))
+        return build(read(_read_file(path)))
+    except sexpr.ParseError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+
+
+def _load_gamma(path):
+    def build(forms):
         gamma = {}
         for entry in forms:
             if isinstance(entry, str) or len(entry) != 2:
@@ -99,24 +105,12 @@ def _load_gamma(path):
                 raise CliError(f"{path}: variable {var} declared twice")
             gamma[var] = parse_type(tsx)
         return gamma
-    except sexpr.ParseError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
-def _load_type(path):
-    try:
-        return parse_type(sexpr.read(_read_file(path)))
-    except sexpr.ParseError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+    return _load_sexpr(path, build)
 
 
 def _load_schema(path):
-    try:
-        forms = sexpr.read(_read_file(path))
-    except sexpr.ParseError as exc:
-        raise CliError(f"{path}: {exc}") from exc
     schema = {}
-    for entry in forms:
+    for entry in _load_sexpr(path, list):
         if isinstance(entry, str) or len(entry) != 2 or isinstance(entry[1], str):
             raise CliError(f"{path}: schema entry must be (name (attrs...))")
         name, attrs = entry
@@ -125,12 +119,8 @@ def _load_schema(path):
 
 
 def _load_deps(path):
-    try:
-        forms = sexpr.read_all(_read_file(path))
-    except sexpr.ParseError as exc:
-        raise CliError(f"{path}: {exc}") from exc
     out = []
-    for sx in forms:
+    for sx in _load_sexpr(path, list, many=True):
         dep = parse(sexpr.write(sx), "deps")
         assert isinstance(dep, (FD, IND))
         out.append(dep)
@@ -193,7 +183,7 @@ def cmd_check(args):
     if args.mode == "type":
         if args.type is None:
             raise CliError("--type is required for mode 'type'")
-        tau = _load_type(args.type)
+        tau = _load_sexpr(args.type, parse_type)
     for x in sorted(gamma):
         _check_type_domain(gamma[x], f"type of {x}", args.lang)
     if tau is not None:

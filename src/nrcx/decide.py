@@ -5,9 +5,13 @@ positive-existential nested calculus with kind tests are decidable: a
 counterexample, if any exists, already appears among environments whose
 sets are small (bounded by the k-complexity of the expression) and whose
 atoms are drawn from the expression's literals plus a bounded supply of
-fresh atoms.  The procedures here enumerate exactly that finite space,
-streaming environments in canonical order so an early counterexample is
-found long before the space is exhausted.
+fresh atoms.
+
+``decide`` tries a static route first: when ``static.certify``, which
+evaluates e over Γ's types, proves e defined with its output type below
+τ (coll(void) for sat), no environment is examined.  Otherwise the
+search enumerates the finite space in canonical order, so that an
+early counterexample is found long before the space is exhausted.
 
 The pure RX procedures reduce to the nested ones through the value and
 expression encodings in :mod:`nrcx.translate`.  The translated types
@@ -25,6 +29,7 @@ from dataclasses import dataclass, field
 
 from .frontend import NEmptyCond, free_vars, literals, _children
 from .penrc import complexity, compile_penrc
+from .static import certify
 # perfbench/tracing.py wraps nrcx.decide.eval_penrc, so the name stays;
 # the search runs the program compile_penrc returns instead.
 from .penrc import eval_penrc  # noqa: F401
@@ -306,7 +311,7 @@ def _search(e, gamma, mode, tau, card, atoms, fresh, pure, options):
 
 
 def decide(e, gamma, mode, *, lang="penrc", tau=None, card=None, **options):
-    """Decide one problem of e under gamma by the bounded search.
+    """Decide one problem of e under gamma, statically or by the search.
 
     "welldef": is e defined on every compatible environment?  A False
     verdict carries a minimized counterexample, as does one of "type":
@@ -332,6 +337,9 @@ def decide(e, gamma, mode, *, lang="penrc", tau=None, card=None, **options):
         card = complexity(e, 1 if tau is None
                           else max(type_complexity(tau), 1))
     atoms, fresh = atom_supply(e, gamma, card)
+    if certify(e, gamma, tau):
+        bounds = {"card": card, "atoms": len(atoms) or 1, "examined": 0}
+        return Verdict(mode != "sat", None, bounds)
     return _search(e, gamma, mode, tau, card, atoms, fresh, pure, options)
 
 

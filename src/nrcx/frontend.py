@@ -409,18 +409,27 @@ def seq_of(exprs):
 # Type / kind concrete syntax.
 
 
-def parse_type(sx):
+# The forms without arguments, by head; kind-any is sugar and prints
+# as the sum it stands for.
+_NULLARY_TYPES = {"atom": AtomT(), "data": DataT(), "void": VoidT()}
+_NULLARY_KINDS = {"kind-atom": KAtom(), "kind-data": KData(),
+                  "kind-elem": KElem(), "kind-coll": KColl()}
+_TYPE_HEADS = {type(t): h for h, t in _NULLARY_TYPES.items()}
+_KIND_HEADS = {type(k): h for h, k in _NULLARY_KINDS.items()}
+
+
+def _form_head(sx, what):
     if isinstance(sx, str):
-        raise ParseError(f"expected a type, got symbol {sx!r}")
+        raise ParseError(f"expected a {what}, got symbol {sx!r}")
     if not sx:
-        raise ParseError("empty type form")
-    head = sx[0]
-    if head == "atom" and len(sx) == 1:
-        return AtomT()
-    if head == "data" and len(sx) == 1:
-        return DataT()
-    if head == "void" and len(sx) == 1:
-        return VoidT()
+        raise ParseError(f"empty {what} form")
+    return sx[0] if isinstance(sx[0], str) else None
+
+
+def parse_type(sx):
+    head = _form_head(sx, "type")
+    if head in _NULLARY_TYPES and len(sx) == 1:
+        return _NULLARY_TYPES[head]
     if head == "elem":
         if len(sx) == 1:
             return ElemT(VoidT())
@@ -440,12 +449,8 @@ def parse_type(sx):
 
 
 def print_type(t):
-    if isinstance(t, AtomT):
-        return ["atom"]
-    if isinstance(t, DataT):
-        return ["data"]
-    if isinstance(t, VoidT):
-        return ["void"]
+    if type(t) in _TYPE_HEADS:
+        return [_TYPE_HEADS[type(t)]]
     if isinstance(t, ElemT):
         if isinstance(t.content, VoidT):
             return ["elem"]
@@ -464,19 +469,9 @@ def print_type(t):
 
 
 def parse_kind(sx):
-    if isinstance(sx, str):
-        raise ParseError(f"expected a kind, got symbol {sx!r}")
-    if not sx:
-        raise ParseError("empty kind form")
-    head = sx[0]
-    if head == "kind-atom" and len(sx) == 1:
-        return KAtom()
-    if head == "kind-data" and len(sx) == 1:
-        return KData()
-    if head == "kind-elem" and len(sx) == 1:
-        return KElem()
-    if head == "kind-coll" and len(sx) == 1:
-        return KColl()
+    head = _form_head(sx, "kind")
+    if head in _NULLARY_KINDS and len(sx) == 1:
+        return _NULLARY_KINDS[head]
     if head == "kind-any" and len(sx) == 1:
         return KIND_ANY
     if head == "kind-prod" and len(sx) == 3:
@@ -487,14 +482,8 @@ def parse_kind(sx):
 
 
 def print_kind(k):
-    if isinstance(k, KAtom):
-        return ["kind-atom"]
-    if isinstance(k, KData):
-        return ["kind-data"]
-    if isinstance(k, KElem):
-        return ["kind-elem"]
-    if isinstance(k, KColl):
-        return ["kind-coll"]
+    if type(k) in _KIND_HEADS:
+        return [_KIND_HEADS[type(k)]]
     if isinstance(k, KProd):
         return ["kind-prod", print_kind(k.left), print_kind(k.right)]
     if isinstance(k, KSum):

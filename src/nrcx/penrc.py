@@ -134,9 +134,7 @@ def complexity(e, k: int) -> int:
     if isinstance(e, NComp):
         return (complexity(e.source, max(k, complexity(e.body, k)))
                 + k * complexity(e.body, k))
-    if isinstance(e, NEqCond):
-        return max(complexity(e.then, k), complexity(e.els, k))
-    if isinstance(e, NKindCond):
+    if isinstance(e, (NEqCond, NKindCond)):
         return max(complexity(e.then, k), complexity(e.els, k))
     if isinstance(e, NEmptyCond):
         raise ValueError(

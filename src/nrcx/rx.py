@@ -310,10 +310,6 @@ def eval_rx(e, sigma, oracles: OracleSuite = DEFAULT_ORACLES) -> EvalOutcome:
     return compile_rx(e, oracles)(sigma)
 
 
-def _rx_lit(c, e):
-    return _constant(vset(e.atom))
-
-
 def _rx_text(c, e):
     body, o = c.expr(e.body), c.context
     return lambda r: vset(DataNode(o.concat(rx_data(body(r), o))))
@@ -384,7 +380,8 @@ def _iftype(c, e):
 
 
 _RX = {
-    Var: _var, AtomLit: _rx_lit, Text: _rx_text, Elem: _rx_elem,
+    Var: _var, AtomLit: lambda c, e: _constant(vset(e.atom)),
+    Text: _rx_text, Elem: _rx_elem,
     DataF: _rx_data, NameF: _rx_name, ChildrenF: _rx_children,
     EmptySeq: lambda c, e: _constant(EMPTY_SET), Seq: _seq_union,
     For: _rx_for, IfEq: _rx_ifeq, IfEmpty: _rx_ifempty, IfType: _iftype,

@@ -311,14 +311,11 @@ class NotAnEncodingError(ValueError):
     pass
 
 
-def encode_tuple(row, attrs, tag="T"):
-    children = [ElemNode(Atom(a), vset(DataNode(Atom(v))))
-                for a, v in zip(attrs, row)]
-    return ElemNode(Atom(tag), VSet(children))
-
-
 def encode_relation(rows, attrs, tag="T") -> VSet:
-    return VSet(encode_tuple(r, attrs, tag) for r in rows)
+    """Each row becomes <tag: <a: v> for each attribute a and value v>."""
+    return VSet(ElemNode(Atom(tag), VSet(
+        ElemNode(Atom(a), vset(DataNode(Atom(v)))) for a, v in zip(attrs, r)))
+        for r in rows)
 
 
 def decode_relation(v, attrs) -> frozenset:
@@ -547,23 +544,6 @@ def _ind_expr(dep, rel_expr, a1, fresh):
                     Elem(AtomLit(Atom(a1)),
                          For(t2, KIND_ANY, rel_expr, witness)))
     return Seq(per_tuple, _ind_sat(a1))
-
-
-def relation_satisfies(rows, attrs, dep) -> bool:
-    """Direct dependency check, the oracle for dependency_expr."""
-    rows = [dict(zip(attrs, r)) for r in rows]
-    if isinstance(dep, FD):
-        for t1 in rows:
-            for t2 in rows:
-                if all(t1[b] == t2[b] for b in dep.lhs):
-                    if not all(t1[c] == t2[c] for c in dep.rhs):
-                        return False
-        return True
-    if isinstance(dep, IND):
-        lhs_proj = {tuple(t[b] for b in dep.lhs) for t in rows}
-        rhs_proj = {tuple(t[c] for c in dep.rhs) for t in rows}
-        return lhs_proj <= rhs_proj
-    raise TypeError(f"not a dependency: {dep!r}")
 
 
 def build_fd_id_reduction(sigma_deps, rho, arity, attrs=None):

@@ -18,7 +18,6 @@ Kinds use ``KAtom | KData | KElem | KColl | KProd | KSum``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .sexpr import write
@@ -489,31 +488,3 @@ class _Peek:
         v = self.head
         self._advance()
         return v
-
-
-def enumerate_values(t, k: int, atoms, budget: int = DEFAULT_VALUE_BUDGET):
-    """Eager version of iter_values, budget-checked."""
-    out = []
-    for v in iter_values(t, k, atoms, budget):
-        out.append(v)
-        if len(out) > budget:
-            raise _over_budget(t, budget)
-    return out
-
-
-def all_values(depth: int, atoms, max_set: int):
-    """Brute-force universe of NRC values of bounded depth; a test
-    oracle for enumerate_values, independent of type terms."""
-    atoms = sorted(set(atoms), key=sort_key)
-    vals = list(atoms)
-    for _ in range(depth):
-        layer = list(vals)
-        pairs = [Pair(a, b) for a, b in itertools.product(layer, repeat=2)]
-        sets = [VSet(c) for n in range(max_set + 1)
-                for c in itertools.combinations(layer, n)]
-        vals = _dedupe(layer + pairs + sets)
-    return sorted(_dedupe(vals), key=sort_key)
-
-
-def _dedupe(vals):
-    return list(dict.fromkeys(vals))

@@ -20,16 +20,15 @@ attribute read, building a set sorts its elements by their cached keys
 without recursing into them, and ``VSet.union`` merges two sorted
 element tuples.
 
-This module also implements the sub-value order ``subvalue``, the join
-``join``, the minimum ``min_value``, the bounded-cardinality predicates
-``in_Vk`` / ``in_Ek``, and atom-renaming lifts, together with the JSON
-wire form used by the CLI.
+This module also implements the sub-value order ``subvalue``, which
+counterexample minimization walks, and the JSON wire form used by the
+CLI.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 # Atom tokens starting with "@" are reserved for machinery-generated
 # fresh atoms (decision procedures, reduction tags).
@@ -224,10 +223,6 @@ def is_item(v) -> bool:
     return isinstance(v, (Atom, DataNode, ElemNode))
 
 
-def is_node(v) -> bool:
-    return isinstance(v, (DataNode, ElemNode))
-
-
 def is_nrc_value(v) -> bool:
     # A loop, not recursion, so that deeply nested values are checked.
     todo = [v]
@@ -252,7 +247,7 @@ def is_pure_rx_value(v) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Sub-value order, join, minimum (on values of the calculus with pairs).
+# Sub-value order (on values of the calculus with pairs).
 
 
 def subvalue(v, w) -> bool:
@@ -275,128 +270,6 @@ def subvalue_env(sigma: Mapping, tau: Mapping) -> bool:
     if set(sigma) != set(tau):
         return False
     return all(subvalue(sigma[x], tau[x]) for x in sigma)
-
-
-class JoinError(ValueError):
-    """Raised when join is applied to values without a common supervalue."""
-
-
-def join(u, v):
-    """Least upper bound of u and v below a common supervalue.
-
-    The caller must guarantee such a supervalue exists; a shape mismatch
-    (distinct atoms, atom vs pair, set vs non-set) raises JoinError.
-    """
-    if isinstance(u, Atom) and isinstance(v, Atom):
-        if u == v:
-            return u
-        raise JoinError(f"distinct atoms {u.token!r} and {v.token!r}")
-    if isinstance(u, Pair) and isinstance(v, Pair):
-        return Pair(join(u.fst, v.fst), join(u.snd, v.snd))
-    if isinstance(u, VSet) and isinstance(v, VSet):
-        return u.union(v)
-    raise JoinError(f"incompatible shapes: {u!r} vs {v!r}")
-
-
-def join_env(sigma: Mapping, tau: Mapping) -> dict:
-    if set(sigma) != set(tau):
-        raise JoinError("environments have different domains")
-    return {x: join(sigma[x], tau[x]) for x in sigma}
-
-
-def min_value(v):
-    """Replace every set occurring in v (including v itself) by the empty set."""
-    if isinstance(v, Atom):
-        return v
-    if isinstance(v, Pair):
-        return Pair(min_value(v.fst), min_value(v.snd))
-    if isinstance(v, VSet):
-        return EMPTY_SET
-    raise TypeError(f"not a calculus value: {v!r}")
-
-
-def min_env(sigma: Mapping) -> dict:
-    return {x: min_value(v) for x, v in sigma.items()}
-
-
-def in_Vk(v, k: int) -> bool:
-    """Every set occurring in v has cardinality at most k."""
-    if isinstance(v, Atom):
-        return True
-    if isinstance(v, DataNode):
-        return True
-    if isinstance(v, ElemNode):
-        return in_Vk(v.children, k)
-    if isinstance(v, Pair):
-        return in_Vk(v.fst, k) and in_Vk(v.snd, k)
-    if isinstance(v, VSet):
-        return len(v) <= k and all(in_Vk(e, k) for e in v)
-    raise TypeError(f"not a value: {v!r}")
-
-
-def in_Ek(sigma: Mapping, k: int) -> bool:
-    return all(in_Vk(v, k) for v in sigma.values())
-
-
-# ---------------------------------------------------------------------------
-# Atom maps.
-
-
-def apply_atom_map(f, v):
-    """Apply an Atom -> Atom map at every atom position of v.
-
-    f may be a callable or a mapping; atoms missing from a mapping are
-    left unchanged.  Sets are re-canonicalized (a non-injective map may
-    collapse elements).
-    """
-    if isinstance(f, Mapping):
-        table = f
-        f = lambda a: table.get(a, a)  # noqa: E731
-    return _map_atoms(f, v)
-
-
-def _map_atoms(f: Callable[[Atom], Atom], v):
-    if isinstance(v, Atom):
-        return f(v)
-    if isinstance(v, DataNode):
-        return DataNode(f(v.content))
-    if isinstance(v, ElemNode):
-        return ElemNode(f(v.name), VSet(_map_atoms(f, c) for c in v.children))
-    if isinstance(v, Pair):
-        return Pair(_map_atoms(f, v.fst), _map_atoms(f, v.snd))
-    if isinstance(v, VSet):
-        return VSet(_map_atoms(f, e) for e in v)
-    raise TypeError(f"not a value: {v!r}")
-
-
-def apply_atom_map_env(f, sigma: Mapping) -> dict:
-    return {x: apply_atom_map(f, v) for x, v in sigma.items()}
-
-
-def atoms_of(v) -> set:
-    """The set of atoms mentioned anywhere in v."""
-    out = set()
-    _collect_atoms(v, out)
-    return out
-
-
-def _collect_atoms(v, out):
-    if isinstance(v, Atom):
-        out.add(v)
-    elif isinstance(v, DataNode):
-        out.add(v.content)
-    elif isinstance(v, ElemNode):
-        out.add(v.name)
-        for c in v.children:
-            _collect_atoms(c, out)
-    elif isinstance(v, Pair):
-        _collect_atoms(v.fst, out)
-        _collect_atoms(v.snd, out)
-    elif isinstance(v, VSet):
-        for e in v:
-            _collect_atoms(e, out)
-    else:
-        raise TypeError(f"not a value: {v!r}")
 
 
 # ---------------------------------------------------------------------------

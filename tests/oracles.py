@@ -1,6 +1,12 @@
-"""Test-only oracles for the pure-RX search.
+"""Test-only oracles and helpers.
 
-`paper_type` is the paper's translation of pure RX types.  It maps data
+Value helpers: the join and the minimum of the sub-value order, the
+bounded-cardinality predicates, atom renamings, the atoms of a value,
+an eager enumeration of a type's values and a brute-force universe of
+values that does not use type terms.  `relation_satisfies` checks a
+dependency on a relation directly.
+
+For the pure-RX search: `paper_type` is the paper's translation of pure RX types.  It maps data
 to ((atom x atom) x {void}), which also holds ((a, b), {}) with a != b,
 off the image of the value encoding.  `encoded_decide` is the route
 that decided pure RX before the translated types held only encodings:
@@ -8,12 +14,19 @@ it searches the paper's translated environments and skips every one
 that `dec_env` rejects.
 """
 
+import itertools
+from typing import Callable, Mapping
+
 from nrcx.decide import (PreconditionError, Verdict, _output_type,
                          atom_supply, fresh_atoms, search_counterexample)
 from nrcx.penrc import complexity, compile_penrc
 from nrcx.translate import NotInImageError, dec, dec_env, translate_expr
+from nrcx.frontend import FD, IND
 from nrcx.typeterms import (AtomT, CollT, DataT, ElemT, ProdT, SumT, VoidT,
-                            member, type_complexity)
+                            DEFAULT_VALUE_BUDGET, EnumerationBudgetError,
+                            iter_values, member, type_complexity)
+from nrcx.values import (Atom, DataNode, ElemNode, EMPTY_SET, Pair, VSet,
+                         sort_key)
 
 
 def paper_type(t):
@@ -82,3 +95,175 @@ def encoded_decide(e, gamma, mode, tau=None, **options):
                               **options)
     env = None if v.counterexample is None else dec_env(v.counterexample)
     return Verdict(v.result != (mode == "sat"), env, v.bounds), reached
+
+
+# ---------------------------------------------------------------------------
+# Values.
+
+
+class JoinError(ValueError):
+    """Raised when join is applied to values without a common supervalue."""
+
+
+def join(u, v):
+    """Least upper bound of u and v below a common supervalue.
+
+    The caller must guarantee such a supervalue exists; a shape mismatch
+    (distinct atoms, atom vs pair, set vs non-set) raises JoinError.
+    """
+    if isinstance(u, Atom) and isinstance(v, Atom):
+        if u == v:
+            return u
+        raise JoinError(f"distinct atoms {u.token!r} and {v.token!r}")
+    if isinstance(u, Pair) and isinstance(v, Pair):
+        return Pair(join(u.fst, v.fst), join(u.snd, v.snd))
+    if isinstance(u, VSet) and isinstance(v, VSet):
+        return u.union(v)
+    raise JoinError(f"incompatible shapes: {u!r} vs {v!r}")
+
+
+def join_env(sigma: Mapping, tau: Mapping) -> dict:
+    if set(sigma) != set(tau):
+        raise JoinError("environments have different domains")
+    return {x: join(sigma[x], tau[x]) for x in sigma}
+
+
+def min_value(v):
+    """Replace every set occurring in v (including v itself) by the empty set."""
+    if isinstance(v, Atom):
+        return v
+    if isinstance(v, Pair):
+        return Pair(min_value(v.fst), min_value(v.snd))
+    if isinstance(v, VSet):
+        return EMPTY_SET
+    raise TypeError(f"not a calculus value: {v!r}")
+
+
+def min_env(sigma: Mapping) -> dict:
+    return {x: min_value(v) for x, v in sigma.items()}
+
+
+def in_Vk(v, k: int) -> bool:
+    """Every set occurring in v has cardinality at most k."""
+    if isinstance(v, Atom):
+        return True
+    if isinstance(v, DataNode):
+        return True
+    if isinstance(v, ElemNode):
+        return in_Vk(v.children, k)
+    if isinstance(v, Pair):
+        return in_Vk(v.fst, k) and in_Vk(v.snd, k)
+    if isinstance(v, VSet):
+        return len(v) <= k and all(in_Vk(e, k) for e in v)
+    raise TypeError(f"not a value: {v!r}")
+
+
+def in_Ek(sigma: Mapping, k: int) -> bool:
+    return all(in_Vk(v, k) for v in sigma.values())
+
+
+# ---------------------------------------------------------------------------
+# Atom maps.
+
+
+def apply_atom_map(f, v):
+    """Apply an Atom -> Atom map at every atom position of v.
+
+    f may be a callable or a mapping; atoms missing from a mapping are
+    left unchanged.  Sets are re-canonicalized (a non-injective map may
+    collapse elements).
+    """
+    if isinstance(f, Mapping):
+        table = f
+        f = lambda a: table.get(a, a)  # noqa: E731
+    return _map_atoms(f, v)
+
+
+def _map_atoms(f: Callable[[Atom], Atom], v):
+    if isinstance(v, Atom):
+        return f(v)
+    if isinstance(v, DataNode):
+        return DataNode(f(v.content))
+    if isinstance(v, ElemNode):
+        return ElemNode(f(v.name), VSet(_map_atoms(f, c) for c in v.children))
+    if isinstance(v, Pair):
+        return Pair(_map_atoms(f, v.fst), _map_atoms(f, v.snd))
+    if isinstance(v, VSet):
+        return VSet(_map_atoms(f, e) for e in v)
+    raise TypeError(f"not a value: {v!r}")
+
+
+def apply_atom_map_env(f, sigma: Mapping) -> dict:
+    return {x: apply_atom_map(f, v) for x, v in sigma.items()}
+
+
+def atoms_of(v) -> set:
+    """The set of atoms mentioned anywhere in v."""
+    out = set()
+    _collect_atoms(v, out)
+    return out
+
+
+def _collect_atoms(v, out):
+    if isinstance(v, Atom):
+        out.add(v)
+    elif isinstance(v, DataNode):
+        out.add(v.content)
+    elif isinstance(v, ElemNode):
+        out.add(v.name)
+        for c in v.children:
+            _collect_atoms(c, out)
+    elif isinstance(v, Pair):
+        _collect_atoms(v.fst, out)
+        _collect_atoms(v.snd, out)
+    elif isinstance(v, VSet):
+        for e in v:
+            _collect_atoms(e, out)
+    else:
+        raise TypeError(f"not a value: {v!r}")
+
+
+def enumerate_values(t, k: int, atoms, budget: int = DEFAULT_VALUE_BUDGET):
+    """Eager version of iter_values, budget-checked."""
+    out = []
+    for v in iter_values(t, k, atoms, budget):
+        out.append(v)
+        if len(out) > budget:
+            raise EnumerationBudgetError(
+                f"enumeration exceeds budget {budget}")
+    return out
+
+
+def all_values(depth: int, atoms, max_set: int):
+    """Brute-force universe of NRC values of bounded depth; a test
+    oracle for enumerate_values, independent of type terms."""
+    atoms = sorted(set(atoms), key=sort_key)
+    vals = list(atoms)
+    for _ in range(depth):
+        layer = list(vals)
+        pairs = [Pair(a, b) for a, b in itertools.product(layer, repeat=2)]
+        sets = [VSet(c) for n in range(max_set + 1)
+                for c in itertools.combinations(layer, n)]
+        vals = _dedupe(layer + pairs + sets)
+    return sorted(_dedupe(vals), key=sort_key)
+
+
+def _dedupe(vals):
+    return list(dict.fromkeys(vals))
+
+
+def relation_satisfies(rows, attrs, dep) -> bool:
+    """Direct dependency check, the oracle for dependency_expr."""
+    rows = [dict(zip(attrs, r)) for r in rows]
+    if isinstance(dep, FD):
+        for t1 in rows:
+            for t2 in rows:
+                if all(t1[b] == t2[b] for b in dep.lhs):
+                    if not all(t1[c] == t2[c] for c in dep.rhs):
+                        return False
+        return True
+    if isinstance(dep, IND):
+        lhs_proj = {tuple(t[b] for b in dep.lhs) for t in rows}
+        rhs_proj = {tuple(t[c] for c in dep.rhs) for t in rows}
+        return lhs_proj <= rhs_proj
+    raise TypeError(f"not a dependency: {dep!r}")

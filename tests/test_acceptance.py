@@ -27,16 +27,17 @@ from nrcx.sexpr import read as sread
 from nrcx.translate import (RELATION_TYPE, build_fd_id_reduction, compile_ra,
                             dependency_expr, desugar_emptiness, enc, enc_env,
                             decode_relation, encode_db, encode_relation,
-                            eval_ra, ra_schema, relation_satisfies,
-                            translate_expr)
+                            eval_ra, ra_schema, translate_expr)
 from nrcx.typeterms import (AtomT, CollT, DataT, ElemT, KAtom, KColl, KData,
                             KElem, KProd, KSum, KIND_ANY, ProdT, SingleT,
-                            SumT, VoidT, enumerate_values, kind_member,
-                            member, rank, type_complexity)
-from nrcx.values import (Atom, DataNode, ElemNode, EMPTY_SET, JoinError,
-                         Pair, VSet, apply_atom_map, apply_atom_map_env,
-                         atoms_of, in_Vk, is_pure_rx_value, join, subvalue,
-                         subvalue_env, vset)
+                            SumT, VoidT, kind_member, member, rank,
+                            type_complexity)
+from nrcx.values import (Atom, DataNode, ElemNode, EMPTY_SET, Pair, VSet,
+                         is_pure_rx_value, subvalue, subvalue_env, vset)
+
+from oracles import (all_values, apply_atom_map, apply_atom_map_env,
+                     atoms_of, enumerate_values, in_Vk, join,
+                     relation_satisfies)
 
 A, B = Atom("a"), Atom("b")
 
@@ -196,7 +197,6 @@ def test_ac2_simulation_random_depth3():
 
 
 # The lattice laws live on the nested calculus: atoms, pairs, and sets.
-from nrcx.typeterms import all_values
 
 LATTICE_UNIVERSE = all_values(2, [A, B], 2)
 

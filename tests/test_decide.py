@@ -60,6 +60,21 @@ def test_welldef_total_expression():
     assert v.result is True
 
 
+# The two-relation equi-join: plainly defined, but its search space at
+# card 8 over 32 atoms passed the 1,000,000-environment budget.  The
+# static certificate proves it without examining an environment.
+EQUI_JOIN = ("(for r R (for s S (ifeq (snd r) (fst s) "
+             "(sing (pair (fst r) (snd s))) (empty))))")
+
+
+def test_welldef_equi_join_holds_statically():
+    gamma = {"R": T("(coll (prod (atom) (atom)))"),
+             "S": T("(coll (prod (atom) (atom)))")}
+    v = well_defined_penrc(P(EQUI_JOIN), gamma)
+    assert v.result is True and v.counterexample is None
+    assert v.bounds == {"card": 8, "atoms": 32, "examined": 0}
+
+
 def test_welldef_rejects_emptiness_test():
     with pytest.raises(NonPenrcError):
         well_defined_penrc(P("(ifempty x y x)"), {"x": T("(atom)"),
@@ -173,13 +188,13 @@ def test_pure_rx_name_on_element_type():
 
 
 def test_pure_rx_children_of_element_collection_holds():
-    # The translated type holds only encodings, so the search examines
-    # 123 environments; the paper's translated type gives 49,342 at the
-    # same bounds, all but these 123 off the image of enc.
+    # The static certificate proves it, so no environment is examined.
+    # The search examined 123, all encodings; over the paper's
+    # translated type it examined 49,342 at the same bounds.
     e = parse("(children x)", "pure-rx")
     v = well_defined_pure_rx(e, {"x": T("(coll (elem (data)))")})
     assert v.result is True
-    assert v.bounds == {"card": 2, "atoms": 10, "examined": 123}
+    assert v.bounds == {"card": 2, "atoms": 10, "examined": 0}
 
 
 def test_pure_rx_singleton_typechecks():
@@ -228,6 +243,10 @@ PROBLEMS = [
     (P("(for x R (fst x))"), {"R": T("(coll (atom))")}),
     (P("(ifkind x (kind-atom) (sing x) x)"),
      {"x": T("(sum (atom) (coll (atom)))")}),
+    # Holds, but the static certificate cannot tell (the dead branch), so
+    # the search runs on a holding problem too.
+    (P("(for x R (ifeq (fst x) (fst x) (fst x) (fst (fst x))))"),
+     {"R": T("(coll (prod (atom) (atom)))")}),
 ]
 
 
@@ -289,7 +308,8 @@ def test_counterexample_that_does_not_fail_again_raises():
 
 
 def test_budget_exceeded_on_tiny_max_envs():
-    e = P("(for x R (fst x))")
+    # Defined, but the dead branch keeps the static certificate out.
+    e = P("(for x R (ifeq (fst x) (fst x) (fst x) (fst (fst x))))")
     gamma = {"R": T("(coll (prod (atom) (atom)))")}
     with pytest.raises(BudgetExceededError):
         well_defined_penrc(e, gamma, max_envs=2)

@@ -15,9 +15,9 @@ from nrcx.frontend import free_vars, parse, print_expr
 from nrcx.penrc import eval_penrc
 from nrcx.rx import ALT_ORACLES, DEFAULT_ORACLES, eval_pure_rx, eval_rx
 from nrcx.translate import compile_ra, encode_db
-from nrcx.typeterms import all_values
 from nrcx.values import Atom, VSet, value_to_json
 
+from oracles import all_values
 from test_acceptance import RA_SCHEMA, _ra_exprs, pure_universe
 
 A, B = Atom("a"), Atom("b")

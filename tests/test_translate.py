@@ -13,17 +13,16 @@ from nrcx.translate import (NotAnEncodingError, NotInImageError,
                             decode_relation, dependency_expr,
                             desugar_emptiness, enc, enc_env, encode_db,
                             encode_relation, eval_ra, normalize_relation,
-                            ra_schema, relation_satisfies, translate_expr,
-                            translate_kind, translate_type)
+                            ra_schema, translate_expr, translate_kind,
+                            translate_type)
 from nrcx.typeterms import (AtomT, CollT, DataEncT, DataT, ElemT, KAtom,
                             KData, KElem, KSum, ProdT, SumT, VoidT,
-                            count_values_upper, enumerate_values,
-                            is_nrc_type, kind_member, member, rank,
+                            count_values_upper, is_nrc_type, kind_member, member, rank,
                             type_complexity)
 from nrcx.values import (Atom, DataNode, ElemNode, Pair, VSet, vset,
                          EMPTY_SET)
 
-from oracles import decodes
+from oracles import decodes, enumerate_values, relation_satisfies
 
 a, b, n = Atom("a"), Atom("b"), Atom("n")
 

@@ -3,11 +3,12 @@ import pytest
 from nrcx.typeterms import (AtomT, CollT, DataT, ElemT, KAtom, KColl, KData,
                             KElem, KProd, KSum, KIND_ANY, ProdT, SingleT,
                             SumT, VoidT, member, kind_member, rank,
-                            type_complexity, iter_values, enumerate_values,
-                            all_values, count_values_upper,
+                            type_complexity, iter_values, count_values_upper,
                             EnumerationBudgetError)
 from nrcx.values import (Atom, DataNode, ElemNode, Pair, VSet, vset,
-                         EMPTY_SET, atoms_of, in_Vk, sort_key)
+                         EMPTY_SET, sort_key)
+
+from oracles import all_values, atoms_of, enumerate_values, in_Vk
 
 a, b = Atom("a"), Atom("b")
 

@@ -1,12 +1,13 @@
 import pytest
 
 from nrcx.values import (Atom, DataNode, ElemNode, Pair, VSet, vset,
-                         EMPTY_SET, sort_key, subvalue, subvalue_env, join,
-                         join_env, JoinError, min_value, min_env, in_Vk,
-                         in_Ek, apply_atom_map, apply_atom_map_env, atoms_of,
+                         EMPTY_SET, sort_key, subvalue, subvalue_env,
                          value_to_json, value_from_json, env_to_json,
                          env_from_json, is_item, is_nrc_value, is_rx_value,
                          is_pure_rx_value)
+
+from oracles import (JoinError, apply_atom_map, apply_atom_map_env, atoms_of,
+                     in_Ek, in_Vk, join, join_env, min_env, min_value)
 
 a, b, c, d = Atom("a"), Atom("b"), Atom("c"), Atom("d")
 
