@@ -227,14 +227,12 @@ def minimize_counterexample(env, failing, budget=DEFAULT_MINIMIZE_BUDGET):
 
 
 def search_counterexample(failing, gamma, card, atoms, *, fresh=(),
-                          prune=True, minimize=True,
-                          max_envs=DEFAULT_MAX_ENVS,
-                          timeout=DEFAULT_TIMEOUT,
-                          minimize_budget=DEFAULT_MINIMIZE_BUDGET):
+                          prune=True, max_envs=DEFAULT_MAX_ENVS,
+                          timeout=DEFAULT_TIMEOUT):
     """Search environments compatible with gamma for one on which
-    `failing` holds.  Returns a Verdict; raises BudgetExceededError when
-    the space cannot be covered within max_envs evaluations or timeout
-    seconds.
+    `failing` holds, and minimize it.  Returns a Verdict; raises
+    BudgetExceededError when the space cannot be covered within max_envs
+    evaluations or timeout seconds.
     """
     deadline = time.monotonic() + timeout
     examined = 0
@@ -251,9 +249,7 @@ def search_counterexample(failing, gamma, card, atoms, *, fresh=(),
             if examined % 512 == 0 and time.monotonic() > deadline:
                 raise BudgetExceededError(f"exceeded {timeout}s")
             if failing(env):
-                if minimize:
-                    env = minimize_counterexample(env, failing,
-                                                  minimize_budget)
+                env = minimize_counterexample(env, failing)
                 if not failing(env):
                     raise SelfCheckError(
                         "the counterexample did not fail on re-check")
@@ -310,7 +306,7 @@ def _search(e, gamma, mode, tau, card, atoms, fresh, pure, options):
 # The three decision problems, for the nested calculus and pure RX.
 
 
-def decide(e, gamma, mode, *, lang="penrc", tau=None, card=None, **options):
+def decide(e, gamma, mode, *, lang="penrc", tau=None, **options):
     """Decide one problem of e under gamma, statically or by the search.
 
     "welldef": is e defined on every compatible environment?  A False
@@ -333,9 +329,7 @@ def decide(e, gamma, mode, *, lang="penrc", tau=None, card=None, **options):
     else:
         raise ValueError(f"unknown language {lang!r}")
     _check_gamma(e, gamma)
-    if card is None:
-        card = complexity(e, 1 if tau is None
-                          else max(type_complexity(tau), 1))
+    card = complexity(e, 1 if tau is None else max(type_complexity(tau), 1))
     atoms, fresh = atom_supply(e, gamma, card)
     if certify(e, gamma, tau):
         bounds = {"card": card, "atoms": len(atoms) or 1, "examined": 0}

@@ -18,9 +18,9 @@ from typing import Callable, NamedTuple
 from . import sexpr
 from .sexpr import ParseError
 from .values import Atom
-from .typeterms import (AtomT, CollT, DataEncT, DataT, ElemT, KAtom, KColl,
-                        KData, KElem, KProd, KSum, KIND_ANY, PAPER_DATA_T,
-                        ProdT, SingleT, SumT, VoidT)
+from .typeterms import (AtomT, CollT, DataT, ElemT, KAtom, KColl, KData,
+                        KElem, KProd, KSum, KIND_ANY, ProdT, SingleT, SumT,
+                        VoidT)
 
 LANGUAGES = ("rx", "pure-rx", "penrc", "ra", "deps")
 
@@ -463,8 +463,6 @@ def print_type(t):
         return ["prod", print_type(t.left), print_type(t.right)]
     if isinstance(t, SumT):
         return ["sum", print_type(t.left), print_type(t.right)]
-    if isinstance(t, DataEncT):
-        return print_type(PAPER_DATA_T)
     raise TypeError(f"not a type term: {t!r}")
 
 

@@ -33,7 +33,7 @@ from typing import Callable
 from .frontend import (AtomLit, ChildrenF, DataF, Elem, EmptySeq, For,
                        IfEmpty, IfEq, IfType, NameF, Seq, Sing, Text, Var,
                        desugar)
-from .typeterms import kind_classes, kind_member, member
+from .typeterms import kind_filter, kind_member, member
 from .values import EMPTY_SET, Atom, DataNode, ElemNode, VSet, vset
 
 
@@ -192,13 +192,6 @@ def _unary(classes, reason, result):
     return build
 
 
-def _kind_filter(k):
-    """(classes, exact): v is of kind k iff isinstance(v, classes) and
-    (exact or kind_member(v, k))."""
-    classes = kind_classes(k)
-    return (object, False) if classes is None else (classes, True)
-
-
 @dataclass(frozen=True)
 class OracleSuite:
     """The two oracle functions of the set-based semantics.
@@ -343,7 +336,7 @@ def _seq_union(c, e):
 def _rx_for(c, e):
     src = c.expr(e.source)
     slot, body = c.bind(e.var, e.body)
-    classes, exact = _kind_filter(e.kind)
+    classes, exact = kind_filter(e.kind)
     kind = e.kind
 
     def for_(r):
@@ -444,7 +437,7 @@ def _pure_seq(c, e):
 def _pure_for(c, e):
     src = c.expr(e.source)
     slot, body = c.bind(e.var, e.body)
-    classes, exact = _kind_filter(e.kind)
+    classes, exact = kind_filter(e.kind)
     kind = e.kind
 
     def for_(r):

@@ -28,7 +28,7 @@ from .penrc import (COMPREHENSION_ON_NONSET, EQ_ON_NONATOM,
                     FLATTEN_ON_NONSET, FLATTEN_ON_NONSET_OF_SETS,
                     PROJ_ON_NONPAIR, UNION_ON_NONSET)
 from .typeterms import (AtomT, CollT, DataEncT, KAtom, KColl, KProd, KSum,
-                        PAPER_DATA_T, ProdT, SumT, VoidT)
+                        ProdT, SumT, VoidT)
 
 STEP_BUDGET = 20_000
 
@@ -68,11 +68,11 @@ class _Certifier:
         """The cases of type term t: sums split, also under products."""
         if isinstance(t, SumT):
             out = self.cases(t.left) + self.cases(t.right)
-        elif isinstance(t, ProdT):
-            out = tuple(ProdT(a, b) for a in self.cases(t.left)
-                        for b in self.cases(t.right))
         elif isinstance(t, (AtomT, CollT, DataEncT, VoidT)):
             out = () if isinstance(t, VoidT) else (t,)
+        elif isinstance(t, ProdT):  # after DataEncT, which is not split
+            out = tuple(ProdT(a, b) for a in self.cases(t.left)
+                        for b in self.cases(t.right))
         else:
             raise _Unproved(f"not an NRC type: {t!r}")
         self.charge(len(out) + 1)
@@ -100,8 +100,8 @@ class _Certifier:
                    for c in cases)
 
     def case_below(self, c, d):
-        if isinstance(c, DataEncT):
-            return isinstance(d, DataEncT) or self.case_below(PAPER_DATA_T, d)
+        if isinstance(d, DataEncT):  # a product of its parts may be off it
+            return isinstance(c, DataEncT)
         if isinstance(c, ProdT):
             return (isinstance(d, ProdT) and self.case_below(c.left, d.left)
                     and self.case_below(c.right, d.right))
@@ -120,8 +120,6 @@ def _admits(c, k):
     """All values of case c are of kind k (otherwise none is)."""
     if isinstance(k, KSum):
         return _admits(c, k.left) or _admits(c, k.right)
-    if isinstance(c, DataEncT):
-        c = PAPER_DATA_T
     if isinstance(k, KProd):
         return (isinstance(c, ProdT) and _admits(c.left, k.left)
                 and _admits(c.right, k.right))
@@ -137,8 +135,7 @@ def _pair(cert, e, env):
 
 def _proj(part):
     def proj(cert, e, env):
-        cases = [PAPER_DATA_T if isinstance(c, DataEncT) else c
-                 for c in cert.eval(e.body, env)]
+        cases = cert.eval(e.body, env)
         if not all(isinstance(c, ProdT) for c in cases):
             raise _Unproved(PROJ_ON_NONPAIR)
         return [getattr(c, part) for c in cases]

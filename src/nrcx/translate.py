@@ -36,6 +36,7 @@ from .values import (Atom, DataNode, ElemNode, Pair, VSet, vset)
 K_DATA_ENC = KProd(KProd(KAtom(), KAtom()), KColl())
 K_ELEM_ENC = KProd(KAtom(), KColl())
 K_ITEM_ENC = KSum(KAtom(), KSum(K_DATA_ENC, K_ELEM_ENC))
+_KIND_ENC = {KAtom: KAtom(), KData: K_DATA_ENC, KElem: K_ELEM_ENC}
 
 
 class NotInImageError(ValueError):
@@ -118,12 +119,8 @@ def _translate_item(t, nodes=False):
 
 def translate_kind(k):
     """Pure RX kind -> nested kind with v in k iff enc(v) in k'."""
-    if isinstance(k, KAtom):
-        return KAtom()
-    if isinstance(k, KData):
-        return K_DATA_ENC
-    if isinstance(k, KElem):
-        return K_ELEM_ENC
+    if type(k) in _KIND_ENC:
+        return _KIND_ENC[type(k)]
     if isinstance(k, KSum):
         return KSum(translate_kind(k.left), translate_kind(k.right))
     raise NotPurePerxError(
@@ -599,13 +596,13 @@ def build_fd_id_reduction(sigma_deps, rho, arity, attrs=None):
 # Emptiness tests as type switches.
 
 
-def desugar_emptiness(e, marker_token="@e"):
+def desugar_emptiness(e):
     """Rewrite every emptiness test into the equivalent type switch:
     map the tested set through a constant element constructor and ask
     whether the image is a set of data nodes (true only for the empty
     set)."""
     fresh = _Fresh(free_vars(e))
-    marker = AtomLit(Atom(marker_token))
+    marker = AtomLit(Atom("@e"))
 
     def rewrite(e):
         if isinstance(e, IfEmpty):

@@ -11,14 +11,15 @@ One family of constructors covers all grammars:
   union of node types (``VoidT`` for the empty union).
 * ``DataEncT`` is the image of pure RX data nodes under the value
   encoding, the one nested type that the translation of pure RX types
-  adds.
+  adds: the diagonal subclass of the ``PAPER_DATA_T`` product.
 
 Kinds use ``KAtom | KData | KElem | KColl | KProd | KSum``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from heapq import merge
 
 from .sexpr import write
 from .values import (EMPTY_SET, Atom, DataNode, ElemNode, Pair, VSet,
@@ -69,17 +70,21 @@ class SumT:
     right: object
 
 
-@dataclass(frozen=True)
-class DataEncT:
-    """The encodings ((a, a), {}) of data nodes.  The paper translates
-    data to PAPER_DATA_T, ((atom x atom) x {void}), which also holds
-    ((a, b), {}) with a != b, off the image of the encoding; this term
-    holds the image only.  Its rank, type complexity, value count bound
-    and printed form are PAPER_DATA_T's, so the bounds derived from a
-    translated type are the paper's."""
-
-
 PAPER_DATA_T = ProdT(ProdT(AtomT(), AtomT()), CollT(VoidT()))
+
+
+@dataclass(frozen=True)
+class DataEncT(ProdT):
+    """The encodings ((a, a), {}) of data nodes: the diagonal subclass of
+    the PAPER_DATA_T product.  The paper translates data to PAPER_DATA_T,
+    ((atom x atom) x {void}), which also holds ((a, b), {}) with a != b,
+    off the image of the encoding; this term holds the image only.  As a
+    ProdT with PAPER_DATA_T's parts it has that type's rank, type
+    complexity, value count bound, printed form and projections, so the
+    bounds derived from a translated type are the paper's; only the
+    rules about its values name it.  It never equals PAPER_DATA_T."""
+    left: object = field(default=PAPER_DATA_T.left, init=False)
+    right: object = field(default=PAPER_DATA_T.right, init=False)
 
 
 @dataclass(frozen=True)
@@ -144,24 +149,21 @@ def member(v, t) -> bool:
         return isinstance(v, VSet) and len(v) == 1 and member(v.elems[0], t.item)
     if isinstance(t, ProdT):
         return (isinstance(v, Pair)
-                and member(v.fst, t.left) and member(v.snd, t.right))
+                and member(v.fst, t.left) and member(v.snd, t.right)
+                and (not isinstance(t, DataEncT) or v.fst.fst == v.fst.snd))
     if isinstance(t, SumT):
         return member(v, t.left) or member(v, t.right)
-    if isinstance(t, DataEncT):
-        return member(v, PAPER_DATA_T) and v.fst.fst == v.fst.snd
     raise TypeError(f"not a type term: {t!r}")
+
+
+_KIND_CLASSES = {KAtom: (Atom,), KData: (DataNode,), KElem: (ElemNode,),
+                 KColl: (VSet,)}
 
 
 def kind_member(v, k) -> bool:
     """v is in the denotation of kind term k."""
-    if isinstance(k, KAtom):
-        return isinstance(v, Atom)
-    if isinstance(k, KData):
-        return isinstance(v, DataNode)
-    if isinstance(k, KElem):
-        return isinstance(v, ElemNode)
-    if isinstance(k, KColl):
-        return isinstance(v, VSet)
+    if type(k) in _KIND_CLASSES:
+        return isinstance(v, _KIND_CLASSES[type(k)])
     if isinstance(k, KProd):
         return (isinstance(v, Pair)
                 and kind_member(v.fst, k.left) and kind_member(v.snd, k.right))
@@ -170,18 +172,19 @@ def kind_member(v, k) -> bool:
     raise TypeError(f"not a kind term: {k!r}")
 
 
-_KIND_CLASSES = {KAtom: (Atom,), KData: (DataNode,), KElem: (ElemNode,),
-                 KColl: (VSet,)}
-
-
-def kind_classes(k):
-    """The classes whose instances are exactly the values of kind k, as
-    one isinstance tuple, when k is a sum of atom, data, element and
-    collection kinds; None when it has a product in it."""
+def kind_filter(k):
+    """(classes, exact): v is of kind k iff isinstance(v, classes) and
+    (exact or kind_member(v, k)).  exact holds, with the classes whose
+    instances are exactly the values of k, when k is a sum of atom,
+    data, element and collection kinds; a product in k leaves the test
+    to kind_member."""
     if isinstance(k, KSum):
-        left, right = kind_classes(k.left), kind_classes(k.right)
-        return None if left is None or right is None else left + right
-    return _KIND_CLASSES.get(type(k))
+        left, right = kind_filter(k.left), kind_filter(k.right)
+        if left[1] and right[1]:
+            return left[0] + right[0], True
+    elif type(k) in _KIND_CLASSES:
+        return _KIND_CLASSES[type(k)], True
+    return object, False
 
 
 def is_nrc_type(t) -> bool:
@@ -192,7 +195,7 @@ def is_nrc_type(t) -> bool:
         return is_nrc_type(t.item)
     if isinstance(t, (ProdT, SumT)):
         return is_nrc_type(t.left) and is_nrc_type(t.right)
-    return isinstance(t, DataEncT)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +216,6 @@ def rank(t, k: int) -> int:
         return max(rank(t.left, k), rank(t.right, k))
     if isinstance(t, CollT):
         return k * rank(t.item, k)
-    if isinstance(t, DataEncT):
-        return rank(PAPER_DATA_T, k)
     raise TypeError(f"not an NRC type: {t!r}")
 
 
@@ -228,8 +229,6 @@ def type_complexity(t) -> int:
         return type_complexity(t.left) + type_complexity(t.right)
     if isinstance(t, CollT):
         return max(1, type_complexity(t.item))
-    if isinstance(t, DataEncT):
-        return type_complexity(PAPER_DATA_T)
     raise TypeError(f"not an NRC type: {t!r}")
 
 
@@ -272,8 +271,6 @@ def count_values_upper(t, k: int, n_atoms: int) -> int:
         return count_values_upper(t.left, k, n_atoms) * count_values_upper(t.right, k, n_atoms)
     if isinstance(t, SumT):
         return count_values_upper(t.left, k, n_atoms) + count_values_upper(t.right, k, n_atoms)
-    if isinstance(t, DataEncT):
-        return count_values_upper(PAPER_DATA_T, k, n_atoms)
     raise TypeError(f"not a type term: {t!r}")
 
 
@@ -404,6 +401,11 @@ def _iter(t, k, atoms, budget, index, seen):
     elif isinstance(t, SingleT):
         for v, s in _iter(t.item, k, atoms, budget, index, seen):
             yield VSet([v]), s
+    elif isinstance(t, DataEncT):
+        # Before ProdT: the subsequence of PAPER_DATA_T's stream with
+        # equal atoms.
+        for a, s in _iter_atoms(atoms, index, seen):
+            yield Pair(Pair(a, a), EMPTY_SET), s
     elif isinstance(t, ProdT):
         rights = _materialize(t.right, k, atoms, budget)
         orders = [_fresh_order(r, index) if index else () for r in rights]
@@ -416,10 +418,6 @@ def _iter(t, k, atoms, budget, index, seen):
         yield from _merge_unique(
             _iter(t.left, k, atoms, budget, index, seen),
             _iter(t.right, k, atoms, budget, index, seen))
-    elif isinstance(t, DataEncT):
-        # The subsequence of PAPER_DATA_T's stream with equal atoms.
-        for a, s in _iter_atoms(atoms, index, seen):
-            yield Pair(Pair(a, a), EMPTY_SET), s
     else:
         raise TypeError(f"not a type term: {t!r}")
 
@@ -454,37 +452,10 @@ def _iter_subsets(elems, orders, k, index, seen):
 
 def _merge_unique(it1, it2):
     """Merge two canonically ordered streams of (value, seen') pairs,
-    keeping one of each value (equal values have equal seen')."""
-    s1 = _Peek(it1)
-    s2 = _Peek(it2)
-    last = _SENTINEL = object()
-    while True:
-        if s1.done and s2.done:
-            return
-        if s2.done or (not s1.done
-                       and sort_key(s1.head[0]) <= sort_key(s2.head[0])):
-            item = s1.pop()
-        else:
-            item = s2.pop()
-        if last is _SENTINEL or item[0] != last:
+    keeping one of each value (equal values have equal seen'); on equal
+    keys the first stream's item comes first."""
+    last = None
+    for item in merge(it1, it2, key=lambda item: sort_key(item[0])):
+        if last is None or item[0] != last:
             yield item
             last = item[0]
-
-
-class _Peek:
-    def __init__(self, it):
-        self._it = iter(it)
-        self.done = False
-        self._advance()
-
-    def _advance(self):
-        try:
-            self.head = next(self._it)
-        except StopIteration:
-            self.done = True
-            self.head = None
-
-    def pop(self):
-        v = self.head
-        self._advance()
-        return v

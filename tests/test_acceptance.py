@@ -8,19 +8,25 @@ the small-model bounds, the relational-algebra compiler, the dependency
 reduction, emptiness-test desugaring, and satisfiability.
 """
 
+import hashlib
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import nrcx
 from nrcx.decide import (BudgetExceededError, atom_supply,
                          brute_force_verdict, satisfiable_penrc,
                          typecheck_penrc, well_defined_penrc)
 from nrcx.frontend import (Diff, Product, Project, RaUnion, Relation, Rename,
                            Select, FD, IND, free_vars, literals, parse,
-                           parse_type)
+                           parse_type, print_expr, print_type)
 from nrcx.penrc import complexity, eval_penrc
 from nrcx.rx import ALT_ORACLES, DEFAULT_ORACLES, eval_pure_rx, eval_rx
 from nrcx.sexpr import read as sread
@@ -170,15 +176,17 @@ def _random_pure(rng, depth, vars_):
     if depth == 0:
         return rng.choice(vars_ + ["(lit a)", "(lit b)", "(empty)"])
     s = lambda: _random_pure(rng, depth - 1, vars_)  # noqa: E731
-    k = rng.choice(PURE_KINDS)
     v = f"v{depth}"
+    # Only the chosen form is built.
     return rng.choice([
-        f"(text {s()})", f"(data {s()})", f"(name {s()})",
-        f"(children {s()})", f"(sing {s()})", f"(elem {s()} {s()})",
-        f"(seq {s()} {s()})", f"(ifeq {s()} {s()} {s()} {s()})",
-        f"(for {v} {k} {s()} "
-        f"{_random_pure(rng, depth - 1, vars_ + [v])})",
-    ])
+        lambda: f"(text {s()})", lambda: f"(data {s()})",
+        lambda: f"(name {s()})", lambda: f"(children {s()})",
+        lambda: f"(sing {s()})", lambda: f"(elem {s()} {s()})",
+        lambda: f"(seq {s()} {s()})",
+        lambda: f"(ifeq {s()} {s()} {s()} {s()})",
+        lambda: f"(for {v} {rng.choice(PURE_KINDS)} {s()} "
+                f"{_random_pure(rng, depth - 1, vars_ + [v])})",
+    ])()
 
 
 def test_ac2_simulation_random_depth3():
@@ -188,7 +196,7 @@ def test_ac2_simulation_random_depth3():
         e = parse(_random_pure(rng, rng.randrange(1, 4), ["x", "y"]),
                   "pure-rx")
         for _ in range(20):
-            env = {v: rng.choice(universe) for v in free_vars(e)}
+            env = {v: rng.choice(universe) for v in sorted(free_vars(e))}
             _check_simulation(e, env)
 
 
@@ -253,13 +261,16 @@ def _random_penrc_src(rng, depth, vars_):
         return rng.choice(vars_ + ["(lit a)", "(empty)"])
     s = lambda: _random_penrc_src(rng, depth - 1, vars_)  # noqa: E731
     v = f"v{depth}"
+    # Only the chosen form is built.
     return rng.choice([
-        f"(fst {s()})", f"(snd {s()})", f"(sing {s()})", f"(flatten {s()})",
-        f"(pair {s()} {s()})", f"(union {s()} {s()})",
-        f"(for {v} {s()} {_random_penrc_src(rng, depth - 1, vars_ + [v])})",
-        f"(ifeq {s()} {s()} {s()} {s()})",
-        f"(ifkind {s()} (kind-atom) {s()} {s()})",
-    ])
+        lambda: f"(fst {s()})", lambda: f"(snd {s()})",
+        lambda: f"(sing {s()})", lambda: f"(flatten {s()})",
+        lambda: f"(pair {s()} {s()})", lambda: f"(union {s()} {s()})",
+        lambda: f"(for {v} {s()} "
+                f"{_random_penrc_src(rng, depth - 1, vars_ + [v])})",
+        lambda: f"(ifeq {s()} {s()} {s()} {s()})",
+        lambda: f"(ifkind {s()} (kind-atom) {s()} {s()})",
+    ])()
 
 
 def _random_subvalue(rng, v):
@@ -281,7 +292,7 @@ def test_ac4_monotonicity_on_corpus():
     while checked < 500:
         e = parse(_random_penrc_src(rng, rng.randrange(1, 4), ["x", "y"]),
                   "penrc")
-        sigma = {v: rng.choice(universe) for v in free_vars(e)}
+        sigma = {v: rng.choice(universe) for v in sorted(free_vars(e))}
         small = {v: _random_subvalue(rng, val) for v, val in sigma.items()}
         assert subvalue_env(small, sigma)
         big_out = eval_penrc(e, sigma)
@@ -301,7 +312,7 @@ def test_ac4_genericity_on_corpus():
     while checked < 500:
         e = parse(_random_penrc_src(rng, rng.randrange(1, 4), ["x", "y"]),
                   "penrc")
-        sigma = {v: rng.choice(universe) for v in free_vars(e)}
+        sigma = {v: rng.choice(universe) for v in sorted(free_vars(e))}
         fixed = {x.token for x in literals(e)}
         moving = sorted({x.token for s in sigma.values()
                         for x in atoms_of(s)} - fixed)
@@ -353,9 +364,33 @@ def _welldef_corpus(rng, n):
     while len(made) < n:
         e = parse(_random_penrc_src(rng, rng.randrange(1, 5), ["x", "y"]),
                   "penrc")
-        gamma = {v: T(rng.choice(GAMMA_POOL)) for v in free_vars(e)}
+        gamma = {v: T(rng.choice(GAMMA_POOL)) for v in sorted(free_vars(e))}
         made.append((e, gamma))
     return made
+
+
+def welldef_corpus_digest(n=50):
+    """Digest of the first n instances of the AC5 well-definedness
+    corpus, expression and Γ."""
+    made = [(print_expr(e), sorted((x, print_type(t)) for x, t in g.items()))
+            for e, g in _welldef_corpus(random.Random(5050), n)]
+    return hashlib.sha256(repr(made).encode()).hexdigest()
+
+
+def test_ac5_corpus_is_independent_of_the_hash_seed():
+    # Under hash seeds 0 and 1, frozenset({"x", "y"}) iterates in
+    # opposite orders, so a Γ drawn in set order differs between them.
+    path = os.pathsep.join([str(Path(nrcx.__file__).parents[1]),
+                            str(Path(__file__).parent)])
+    code = ("from test_acceptance import welldef_corpus_digest; "
+            "print(welldef_corpus_digest())")
+    digests = {
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       capture_output=True, text=True, timeout=120,
+                       env={**os.environ, "PYTHONHASHSEED": seed,
+                            "PYTHONPATH": path}).stdout
+        for seed in ("0", "1")}
+    assert len(digests) == 1, digests
 
 
 def test_ac5_welldef_bounds_validated_on_corpus():
@@ -590,14 +625,16 @@ def _random_rx(rng, depth, vars_):
         return rng.choice(vars_ + ["(lit a)", "(empty)"])
     s = lambda: _random_rx(rng, depth - 1, vars_)  # noqa: E731
     v = f"v{depth}"
+    # Only the chosen form is built.
     return rng.choice([
-        f"(text {s()})", f"(data {s()})", f"(name {s()})",
-        f"(children {s()})", f"(elem {s()} {s()})", f"(seq {s()} {s()})",
-        f"(ifeq {s()} {s()} {s()} {s()})",
-        f"(ifempty {s()} {s()} {s()})",
-        f"(for {v} (kind-any) {s()} "
-        f"{_random_rx(rng, depth - 1, vars_ + [v])})",
-    ])
+        lambda: f"(text {s()})", lambda: f"(data {s()})",
+        lambda: f"(name {s()})", lambda: f"(children {s()})",
+        lambda: f"(elem {s()} {s()})", lambda: f"(seq {s()} {s()})",
+        lambda: f"(ifeq {s()} {s()} {s()} {s()})",
+        lambda: f"(ifempty {s()} {s()} {s()})",
+        lambda: f"(for {v} (kind-any) {s()} "
+                f"{_random_rx(rng, depth - 1, vars_ + [v])})",
+    ])()
 
 
 def test_ac8_emptiness_desugaring_agreement_random():
@@ -607,7 +644,7 @@ def test_ac8_emptiness_desugaring_agreement_random():
         e = parse(_random_rx(rng, rng.randrange(1, 4), ["x", "y"]), "rx")
         d = desugar_emptiness(e)
         for _ in range(6):
-            env = {v: rng.choice(universe) for v in free_vars(e)}
+            env = {v: rng.choice(universe) for v in sorted(free_vars(e))}
             o1 = eval_rx(e, env)
             o2 = eval_rx(d, env)
             assert o1.is_defined == o2.is_defined, (e, env)
@@ -648,7 +685,7 @@ def test_ac9_satisfiability_agrees_with_direct_search():
     while agreed < 60:
         e = parse(_random_penrc_src(rng, rng.randrange(1, 4), ["x", "y"]),
                   "penrc")
-        gamma = {v: T(rng.choice(GAMMA_POOL)) for v in free_vars(e)}
+        gamma = {v: T(rng.choice(GAMMA_POOL)) for v in sorted(free_vars(e))}
         try:
             if not well_defined_penrc(e, gamma, **SEARCH_OPTS).result:
                 continue

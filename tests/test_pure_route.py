@@ -76,7 +76,7 @@ def test_random_pure_corpus_agrees_with_encoded_route():
     while covered < 150:
         e = parse(_random_pure(rng, rng.randrange(1, 4), ["x", "y"]),
                   "pure-rx")
-        gamma = {v: T(rng.choice(GAMMA_POOL)) for v in free_vars(e)}
+        gamma = {v: T(rng.choice(GAMMA_POOL)) for v in sorted(free_vars(e))}
         tau = T(rng.choice(TYPE_POOL))
         covered += all(_agree(e, gamma, mode, tau if mode == "type" else None)
                        for mode in ("welldef", "type", "sat"))

@@ -131,6 +131,12 @@ def test_data_encoding_projects_as_the_paper_type():
     assert certify(P("(snd x)"), gamma, UNSAT)
     assert certify(P("x"), gamma, DataEncT())
     assert not certify(P("(pair (fst x) (snd x))"), gamma, DataEncT())
+    # A kind test admits it as the product it is: the else branch, whose
+    # projection is undefined on it, never runs.
+    e = P("(ifkind x (kind-prod (kind-prod (kind-atom) (kind-atom)) "
+          "(kind-coll)) (fst (fst x)) (fst (snd x)))")
+    v = well_defined_penrc(e, gamma)
+    assert (v.result, v.bounds["examined"]) == (True, 0)
 
 
 def test_not_an_nrc_type_is_not_certified():
@@ -216,16 +222,15 @@ def _ac9_instances():
     rng = random.Random(9090)
     while True:
         e = P(_random_penrc_src(rng, rng.randrange(1, 4), ["x", "y"]))
-        gamma = {v: T(rng.choice(GAMMA_POOL)) for v in free_vars(e)}
+        gamma = {v: T(rng.choice(GAMMA_POOL)) for v in sorted(free_vars(e))}
         yield [(e, gamma, "welldef"), (e, gamma, "sat")]
 
 
 # The corpora and sizes of AC5 and AC9; every problem is tried in the
 # welldef and sat modes, and with the drawn type in the type mode.
 # at_least keeps the gate from passing with few certificates.  The
-# corpora draw Γ in the set order of the free variables, which depends
-# on the string hash seed: over eight seeds 37-38, 67-71 and 8
-# certificates were confirmed.
+# corpora draw Γ over the sorted free variables, so they do not depend
+# on the string hash seed: 51, 58 and 16 certificates are confirmed.
 @pytest.mark.parametrize("instances,size,at_least", [
     (lambda: _ac5_instances(5050, False), 200, 30),
     (lambda: _ac5_instances(6060, True), 200, 55),

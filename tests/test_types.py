@@ -1,8 +1,9 @@
 import pytest
 
-from nrcx.typeterms import (AtomT, CollT, DataT, ElemT, KAtom, KColl, KData,
-                            KElem, KProd, KSum, KIND_ANY, ProdT, SingleT,
-                            SumT, VoidT, member, kind_member, rank,
+from nrcx.typeterms import (AtomT, CollT, DataEncT, DataT, ElemT, KAtom,
+                            KColl, KData, KElem, KProd, KSum, KIND_ANY,
+                            PAPER_DATA_T, ProdT, SingleT, SumT, VoidT,
+                            member, kind_member, rank,
                             type_complexity, iter_values, count_values_upper,
                             EnumerationBudgetError)
 from nrcx.values import (Atom, DataNode, ElemNode, Pair, VSet, vset,
@@ -35,6 +36,15 @@ def test_member_empty_set_in_any_coll():
 def test_member_product():
     assert member(Pair(a, EMPTY_SET), ProdT(AtomT(), CollT(VoidT())))
     assert not member(Pair(a, a), ProdT(AtomT(), CollT(VoidT())))
+
+
+def test_data_encoding_is_a_distinct_product():
+    # The diagonal has the paper type's parts but is never equal to it,
+    # so a case split keeps both.
+    assert DataEncT() != PAPER_DATA_T and PAPER_DATA_T != DataEncT()
+    assert (DataEncT().left, DataEncT().right) == \
+        (PAPER_DATA_T.left, PAPER_DATA_T.right)
+    assert len(dict.fromkeys([DataEncT(), PAPER_DATA_T, DataEncT()])) == 2
 
 
 def test_member_sum():
