@@ -25,7 +25,7 @@ from .rx import (Defined, Undefined, EvalOutcome, OracleSuite,
                  eval_pure_rx)
 from .penrc import eval_penrc, complexity
 from .translate import (enc, dec, NotInImageError, translate_type,
-                        translate_kind, translate_expr, eval_ra, compile_ra,
+                        translate_kind, translate_expr, compile_ra,
                         encode_relation, decode_relation,
                         build_fd_id_reduction, desugar_emptiness)
 from .decide import (Verdict, well_defined_penrc, typecheck_penrc,

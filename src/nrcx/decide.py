@@ -88,13 +88,19 @@ class Verdict:
         }
 
 
-def require_penrc(e):
-    """Reject expressions containing the full-NRC emptiness test."""
+def require_penrc(e, seen=None):
+    """Reject expressions containing the full-NRC emptiness test.  seen
+    holds the ids of the nodes already checked (see frontend.free_vars)."""
+    if seen is None:
+        seen = set()
+    if id(e) in seen:
+        return
+    seen.add(id(e))
     if isinstance(e, NEmptyCond):
         raise NonPenrcError(
             "emptiness tests are outside the decidable fragment")
     for c in _children(e):
-        require_penrc(c)
+        require_penrc(c, seen)
 
 
 def fresh_atoms(n: int):

@@ -300,22 +300,36 @@ class IND:
 # Free variables.
 
 
-def free_vars(e) -> frozenset:
+# The whole-tree passes below walk each node once.  memo maps the id of
+# a node to its result, for one top-level call or for as long as the
+# caller keeps memo and the tree (so ids stay unique): the pure-RX
+# translation shares subtrees, and a DAG walked as a tree costs
+# exponential time.
+
+
+def free_vars(e, memo=None) -> frozenset:
+    if memo is None:
+        memo = {}
+    out = memo.get(id(e))
+    if out is not None:
+        return out
     if isinstance(e, (Var, NVar, Relation)):
-        return frozenset([e.name])
-    if isinstance(e, (For, NComp)):
-        src = e.source
-        return free_vars(src) | (free_vars(e.body) - {e.var})
-    if isinstance(e, MultiFor):
+        out = frozenset([e.name])
+    elif isinstance(e, (For, NComp)):
+        out = (free_vars(e.source, memo)
+               | (free_vars(e.body, memo) - {e.var}))
+    elif isinstance(e, MultiFor):
         out = frozenset()
         bound = set()
         for var, src in e.bindings:
-            out |= free_vars(src) - bound
+            out |= free_vars(src, memo) - bound
             bound.add(var)
-        return out | (free_vars(e.body) - bound)
-    out = frozenset()
-    for child in _children(e):
-        out |= free_vars(child)
+        out |= free_vars(e.body, memo) - bound
+    else:
+        out = frozenset()
+        for child in _children(e):
+            out |= free_vars(child, memo)
+    memo[id(e)] = out
     return out
 
 
@@ -352,13 +366,20 @@ def map_children(e, f):
     raise TypeError(f"not an expression: {e!r}")
 
 
-def literals(e) -> frozenset:
+def literals(e, memo=None) -> frozenset:
     """All atoms occurring as literals in e."""
+    if memo is None:
+        memo = {}
+    out = memo.get(id(e))
+    if out is not None:
+        return out
     if isinstance(e, (AtomLit, NAtomLit)):
-        return frozenset([e.atom])
-    out = frozenset()
-    for child in _children(e):
-        out |= literals(child)
+        out = frozenset([e.atom])
+    else:
+        out = frozenset()
+        for child in _children(e):
+            out |= literals(child, memo)
+    memo[id(e)] = out
     return out
 
 

@@ -117,26 +117,36 @@ _PENRC = {
 }
 
 
-def complexity(e, k: int) -> int:
+def complexity(e, k: int, memo=None) -> int:
     """The k-complexity c(e, k): witnesses of set-cardinality <= k in
     the output trace back to environments whose sets have cardinality
-    at most c(e, k).  Exact (unbounded) integer arithmetic."""
+    at most c(e, k).  Exact (unbounded) integer arithmetic.  memo maps
+    (id of a node, k) to its result, as for frontend.free_vars: the
+    pure-RX translation shares subtrees."""
+    if memo is None:
+        memo = {}
+    out = memo.get((id(e), k))
+    if out is not None:
+        return out
     if isinstance(e, NVar):
-        return k
-    if isinstance(e, (NEmpty, NAtomLit)):
-        return 0
-    if isinstance(e, (NPair, NUnion)):
-        return complexity(e.left, k) + complexity(e.right, k)
-    if isinstance(e, (NProj1, NProj2, NFlatten)):
-        return complexity(e.body, k)
-    if isinstance(e, NSing):
-        return k * complexity(e.body, k)
-    if isinstance(e, NComp):
-        return (complexity(e.source, max(k, complexity(e.body, k)))
-                + k * complexity(e.body, k))
-    if isinstance(e, (NEqCond, NKindCond)):
-        return max(complexity(e.then, k), complexity(e.els, k))
-    if isinstance(e, NEmptyCond):
+        out = k
+    elif isinstance(e, (NEmpty, NAtomLit)):
+        out = 0
+    elif isinstance(e, (NPair, NUnion)):
+        out = complexity(e.left, k, memo) + complexity(e.right, k, memo)
+    elif isinstance(e, (NProj1, NProj2, NFlatten)):
+        out = complexity(e.body, k, memo)
+    elif isinstance(e, NSing):
+        out = k * complexity(e.body, k, memo)
+    elif isinstance(e, NComp):
+        body = complexity(e.body, k, memo)
+        out = complexity(e.source, max(k, body), memo) + k * body
+    elif isinstance(e, (NEqCond, NKindCond)):
+        out = max(complexity(e.then, k, memo), complexity(e.els, k, memo))
+    elif isinstance(e, NEmptyCond):
         raise ValueError(
             "k-complexity is not defined for the emptiness test")
-    raise TypeError(f"not a nested-calculus expression: {e!r}")
+    else:
+        raise TypeError(f"not a nested-calculus expression: {e!r}")
+    memo[(id(e), k)] = out
+    return out

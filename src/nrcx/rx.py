@@ -17,6 +17,31 @@ variable to a slot of a register list.  The program that results maps
 an environment to an outcome, and ``eval_rx`` / ``eval_pure_rx`` run it
 once.
 
+The set-based RX ``for`` is compiled with two rewrites that move work
+out of loops (Wong's filter promotion for NRC normal forms, applied to
+the closures):
+
+* Guard pushdown.  Take a ``for`` whose body is a chain of ``for``s
+  ending in ``(ifeq l r then (empty))``, where neither l, r nor a
+  source of the chain names a variable of the chain.  Per binding of
+  the outer ``for``, the chain's sources are evaluated in order, up to
+  the first with no element of its kind (the result is then empty);
+  then the guard is tested once, and the chain runs over the values
+  already computed, with body then, only if it holds.  then is compiled
+  the same way, so each leading conjunct of a ``cond`` is tested in the
+  loop that binds its last variable.  Only a leading conjunct moves: a
+  later one may be undefined where an earlier one is false.
+* Loop-invariant sources.  A source that is not a variable, and names
+  no variable of the enclosing loops from some loop L inward, is
+  evaluated once per run of L, at its first use.
+
+Both are exact because every form is pure and deterministic.  The
+evaluations made, up to the first that fails, are those of the original
+order: a skipped evaluation either repeats a value already computed, or
+would run under a guard that is false and whose else branch is empty,
+or over an empty source.  So the value, the undefinedness reason and
+the failing form are unchanged.
+
 Undefinedness reasons for pure RX go slightly beyond the obvious list:
 any operation that iterates its operand (data, children, for-sources,
 element content, sequence operands, loop bodies under the big union) is
@@ -32,7 +57,7 @@ from typing import Callable
 
 from .frontend import (AtomLit, ChildrenF, DataF, Elem, EmptySeq, For,
                        IfEmpty, IfEq, IfType, NameF, Seq, Sing, Text, Var,
-                       desugar)
+                       desugar, free_vars)
 from .typeterms import kind_filter, kind_member, member
 from .values import EMPTY_SET, Atom, DataNode, ElemNode, VSet, vset
 
@@ -100,7 +125,10 @@ class Compiler:
     (desugaring shares the branches of ``cond``, the translation its
     operands) is compiled once per scope.  ``context`` is what the
     builders of a calculus need besides the expression (the oracles of
-    set-based RX).
+    set-based RX).  ``loops`` is kept by the builders that move work
+    out of loops (the set-based RX ``for``): the loops around the
+    expression being compiled, outermost first, each as (variable, the
+    slots to clear when the loop starts a run).
     """
 
     def __init__(self, builders, what, context=None):
@@ -110,9 +138,12 @@ class Compiler:
         self.scope = {}
         self.free = {}
         self.n_slots = 0
+        self.loops = []
         # The closures compiled in the current scope, by id of the AST
         # node (the caller holds the whole tree, so ids stay unique).
         self._memo = {}
+        # The free variables of every node, by id (frontend.free_vars).
+        self._free_vars = {}
 
     def expr(self, e):
         f = self._memo.get(id(e))
@@ -138,14 +169,17 @@ class Compiler:
             return v
         return free_var
 
-    def bind(self, var, body):
+    def free_vars(self, e):
+        return free_vars(e, self._free_vars)
+
+    def bind(self, var, body, build=None):
         """The slot of a new binding of var, and the closure of body
-        under it."""
+        under it, built by build(body) (by default, self.expr)."""
         slot = self._slot()
         outer, memo = self.scope, self._memo
         self.scope, self._memo = {**outer, var: slot}, {}
         try:
-            return slot, self.expr(body)
+            return slot, (build or self.expr)(body)
         finally:
             self.scope, self._memo = outer, memo
 
@@ -334,32 +368,121 @@ def _seq_union(c, e):
 
 
 def _rx_for(c, e):
-    src = c.expr(e.source)
-    slot, body = c.bind(e.var, e.body)
-    classes, exact = kind_filter(e.kind)
-    kind = e.kind
+    return _loop(c, e, _elements(c, e), [], e.body)
+
+
+def _elements(c, f):
+    """The closure of the elements of for f's source that pass its kind
+    filter.  Unless the source is a variable, it is evaluated at most
+    once per run of the outermost enclosing loop inside which it names
+    no loop variable, at its first use in that run."""
+    src = c.expr(f.source)
+    classes, exact = kind_filter(f.kind)
+    kind = f.kind
+
+    def elements(r):
+        return [i for i in src(r).elems
+                if isinstance(i, classes) and (exact or kind_member(i, kind))]
+    if isinstance(f.source, Var):
+        return elements
+    names = c.free_vars(f.source)
+    loops = c.loops
+    level = len(loops)
+    while level and loops[level - 1][0] not in names:
+        level -= 1
+    if level == len(loops):  # it names the innermost loop's variable
+        return elements
+    slot = c._slot()
+    loops[level][1].append(slot)
+
+    def once(r):
+        v = r[slot]
+        if v is None:
+            v = r[slot] = elements(r)
+        return v
+    return once
+
+
+def _loop(c, f, elements, inner, end):
+    """The closure of for f over the elements that elements(r) gives.
+    Its body is end inside the fors of inner, (for, slot) pairs whose
+    elements are already in their slots."""
+    frame = (f.var, [])
+    c.loops.append(frame)
+    try:
+        slot, body = c.bind(f.var, end, lambda e: _loop_body(c, inner, e))
+    finally:
+        c.loops.pop()
+    clear = tuple(frame[1])
 
     def for_(r):
+        for s in clear:
+            r[s] = None
         parts = []
-        for i in src(r).elems:
-            if isinstance(i, classes) and (exact or kind_member(i, kind)):
-                r[slot] = vset(i)
-                parts.extend(body(r).elems)
+        for i in elements(r):
+            r[slot] = vset(i)
+            parts.extend(body(r).elems)
         return VSet(parts)
     return for_
 
 
-def _rx_ifeq(c, e):
-    left, right = c.expr(e.left), c.expr(e.right)
-    then, els, o = c.expr(e.then), c.expr(e.els), c.context
+def _loop_body(c, inner, end):
+    """The closure of end inside the fors of inner (as in _loop).  When
+    end is a chain of fors ending in a guard that _movable allows, the
+    guard is tested once, before the fors run (see the module
+    docstring)."""
+    fors, guard = [f for f, _ in inner], end
+    while isinstance(guard, For):
+        fors.append(guard)
+        guard = guard.body
+    pending = fors[len(inner):]  # their sources are not evaluated yet
+    if not _movable(c, fors, pending, guard):
+        if not inner:
+            return c.expr(end)
+        (f, s), *rest = inner
+        return _loop(c, f, lambda r: r[s], rest, end)
+    sources = [(_elements(c, f), c._slot()) for f in pending]
+    test = _rx_eq(c, guard)
+    (f, s), *rest = inner + [(f, s) for f, (_, s) in zip(pending, sources)]
+    run = _loop(c, f, lambda r: r[s], rest, guard.then)
 
-    def ifeq(r):
+    def guarded(r):
+        for elements, s in sources:
+            v = r[s] = elements(r)
+            if not v:
+                return EMPTY_SET
+        return run(r) if test(r) else EMPTY_SET
+    return guarded
+
+
+def _movable(c, fors, pending, guard):
+    """The guard can be tested before the fors run: it is an eq test
+    whose else branch is (empty), and neither its operands nor the
+    sources of pending name a variable of the fors."""
+    if not (fors and isinstance(guard, IfEq)
+            and isinstance(guard.els, EmptySeq)):
+        return False
+    bound = {f.var for f in fors}
+    return all(bound.isdisjoint(c.free_vars(x)) for x in
+               [guard.left, guard.right] + [f.source for f in pending])
+
+
+def _rx_eq(c, e):
+    """The test of the ifeq e: r -> whether its operands are equal."""
+    left, right, o = c.expr(e.left), c.expr(e.right), c.context
+
+    def eq(r):
         a = rx_data(left(r), o)
         b = rx_data(right(r), o)
         if len(a.elems) != 1 or len(b.elems) != 1:
             raise _Undef(EQ_NOT_SINGLETON_ATOM, e)
-        return then(r) if a == b else els(r)
-    return ifeq
+        return a == b
+    return eq
+
+
+def _rx_ifeq(c, e):
+    eq, then, els = _rx_eq(c, e), c.expr(e.then), c.expr(e.els)
+    return lambda r: then(r) if eq(r) else els(r)
 
 
 def _rx_ifempty(c, e):

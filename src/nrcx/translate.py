@@ -6,9 +6,9 @@
 * ``translate_type`` / ``translate_kind`` / ``translate_expr``: the
   matching translations of pure RX types, kinds, and expressions into
   the nested calculus with kind tests.
-* ``compile_ra`` + ``encode_relation`` / ``decode_relation`` +
-  ``eval_ra``: the relational-algebra simulation inside the emptiness
-  test fragment of set-based RX, with a direct RA evaluator as oracle.
+* ``compile_ra`` + ``encode_relation`` / ``decode_relation``: the
+  relational-algebra simulation inside the emptiness test fragment of
+  set-based RX.
 * ``build_fd_id_reduction``: the reduction from functional/inclusion
   dependency implication to an equivalence of two RX expressions.
 * ``desugar_emptiness``: emptiness tests rewritten into type switches.
@@ -210,7 +210,7 @@ def _tr(e, fresh):
 
 
 # ---------------------------------------------------------------------------
-# Relational algebra: schemas, direct evaluation, encodings, compilation.
+# Relational algebra: schemas, encodings, compilation.
 
 
 class SchemaError(ValueError):
@@ -258,50 +258,6 @@ def ra_schema(phi, schema):
             raise SchemaError("union/difference schemas must match")
         return l
     raise TypeError(f"not a relational expression: {phi!r}")
-
-
-def eval_ra(phi, db, schema):
-    """Direct relational-algebra evaluation.
-
-    db maps relation name to a set of rows, each row a tuple aligned
-    with the schema's attribute tuple.  Returns a frozenset of rows
-    aligned with ra_schema(phi, schema).
-    """
-    attrs = ra_schema(phi, schema)
-    if isinstance(phi, Relation):
-        return frozenset(tuple(r) for r in db[phi.name])
-    if isinstance(phi, Select):
-        sub = ra_schema(phi.arg, schema)
-        i, j = sub.index(phi.attr1), sub.index(phi.attr2)
-        return frozenset(r for r in eval_ra(phi.arg, db, schema)
-                         if r[i] == r[j])
-    if isinstance(phi, Project):
-        sub = ra_schema(phi.arg, schema)
-        idx = [sub.index(a) for a in phi.attrs]
-        return frozenset(tuple(r[i] for i in idx)
-                         for r in eval_ra(phi.arg, db, schema))
-    if isinstance(phi, Product):
-        lrows = eval_ra(phi.left, db, schema)
-        rrows = eval_ra(phi.right, db, schema)
-        return frozenset(l + r for l in lrows for r in rrows)
-    if isinstance(phi, Rename):
-        return eval_ra(phi.arg, db, schema)
-    if isinstance(phi, RaUnion):
-        l = eval_ra(phi.left, db, schema)
-        rsub = ra_schema(phi.right, schema)
-        r = _realign(eval_ra(phi.right, db, schema), rsub, attrs)
-        return l | r
-    if isinstance(phi, Diff):
-        l = eval_ra(phi.left, db, schema)
-        rsub = ra_schema(phi.right, schema)
-        r = _realign(eval_ra(phi.right, db, schema), rsub, attrs)
-        return l - r
-    raise TypeError(f"not a relational expression: {phi!r}")
-
-
-def _realign(rows, from_attrs, to_attrs):
-    idx = [from_attrs.index(a) for a in to_attrs]
-    return frozenset(tuple(r[i] for i in idx) for r in rows)
 
 
 class NotAnEncodingError(ValueError):

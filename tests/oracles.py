@@ -4,7 +4,8 @@ Value helpers: the join and the minimum of the sub-value order, the
 bounded-cardinality predicates, atom renamings, the atoms of a value,
 an eager enumeration of a type's values and a brute-force universe of
 values that does not use type terms.  `relation_satisfies` checks a
-dependency on a relation directly.
+dependency on a relation directly, and `eval_ra` evaluates relational
+algebra directly, the oracle of the RA compiler.
 
 For the pure-RX search: `paper_type` is the paper's translation of pure RX types.  It maps data
 to ((atom x atom) x {void}), which also holds ((a, b), {}) with a != b,
@@ -20,8 +21,10 @@ from typing import Callable, Mapping
 from nrcx.decide import (PreconditionError, Verdict, _output_type,
                          atom_supply, fresh_atoms, search_counterexample)
 from nrcx.penrc import complexity, compile_penrc
-from nrcx.translate import NotInImageError, dec, dec_env, translate_expr
-from nrcx.frontend import FD, IND
+from nrcx.translate import (NotInImageError, dec, dec_env, ra_schema,
+                            translate_expr)
+from nrcx.frontend import (FD, IND, Diff, Product, Project, RaUnion,
+                           Relation, Rename, Select)
 from nrcx.typeterms import (AtomT, CollT, DataT, ElemT, ProdT, SumT, VoidT,
                             DEFAULT_VALUE_BUDGET, EnumerationBudgetError,
                             iter_values, member, type_complexity)
@@ -267,3 +270,47 @@ def relation_satisfies(rows, attrs, dep) -> bool:
         rhs_proj = {tuple(t[c] for c in dep.rhs) for t in rows}
         return lhs_proj <= rhs_proj
     raise TypeError(f"not a dependency: {dep!r}")
+
+
+def eval_ra(phi, db, schema):
+    """Direct relational-algebra evaluation.
+
+    db maps relation name to a set of rows, each row a tuple aligned
+    with the schema's attribute tuple.  Returns a frozenset of rows
+    aligned with ra_schema(phi, schema).
+    """
+    attrs = ra_schema(phi, schema)
+    if isinstance(phi, Relation):
+        return frozenset(tuple(r) for r in db[phi.name])
+    if isinstance(phi, Select):
+        sub = ra_schema(phi.arg, schema)
+        i, j = sub.index(phi.attr1), sub.index(phi.attr2)
+        return frozenset(r for r in eval_ra(phi.arg, db, schema)
+                         if r[i] == r[j])
+    if isinstance(phi, Project):
+        sub = ra_schema(phi.arg, schema)
+        idx = [sub.index(a) for a in phi.attrs]
+        return frozenset(tuple(r[i] for i in idx)
+                         for r in eval_ra(phi.arg, db, schema))
+    if isinstance(phi, Product):
+        lrows = eval_ra(phi.left, db, schema)
+        rrows = eval_ra(phi.right, db, schema)
+        return frozenset(l + r for l in lrows for r in rrows)
+    if isinstance(phi, Rename):
+        return eval_ra(phi.arg, db, schema)
+    if isinstance(phi, RaUnion):
+        l = eval_ra(phi.left, db, schema)
+        rsub = ra_schema(phi.right, schema)
+        r = _realign(eval_ra(phi.right, db, schema), rsub, attrs)
+        return l | r
+    if isinstance(phi, Diff):
+        l = eval_ra(phi.left, db, schema)
+        rsub = ra_schema(phi.right, schema)
+        r = _realign(eval_ra(phi.right, db, schema), rsub, attrs)
+        return l - r
+    raise TypeError(f"not a relational expression: {phi!r}")
+
+
+def _realign(rows, from_attrs, to_attrs):
+    idx = [from_attrs.index(a) for a in to_attrs]
+    return frozenset(tuple(r[i] for i in idx) for r in rows)

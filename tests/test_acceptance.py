@@ -28,12 +28,13 @@ from nrcx.frontend import (Diff, Product, Project, RaUnion, Relation, Rename,
                            Select, FD, IND, free_vars, literals, parse,
                            parse_type, print_expr, print_type)
 from nrcx.penrc import complexity, eval_penrc
-from nrcx.rx import ALT_ORACLES, DEFAULT_ORACLES, eval_pure_rx, eval_rx
+from nrcx.rx import (ALT_ORACLES, DEFAULT_ORACLES, compile_rx,
+                     eval_pure_rx, eval_rx)
 from nrcx.sexpr import read as sread
 from nrcx.translate import (RELATION_TYPE, build_fd_id_reduction, compile_ra,
                             dependency_expr, desugar_emptiness, enc, enc_env,
                             decode_relation, encode_db, encode_relation,
-                            eval_ra, ra_schema, translate_expr)
+                            ra_schema, translate_expr)
 from nrcx.typeterms import (AtomT, CollT, DataT, ElemT, KAtom, KColl, KData,
                             KElem, KProd, KSum, KIND_ANY, ProdT, SingleT,
                             SumT, VoidT, kind_member, member, rank,
@@ -42,7 +43,7 @@ from nrcx.values import (Atom, DataNode, ElemNode, EMPTY_SET, Pair, VSet,
                          is_pure_rx_value, subvalue, subvalue_env, vset)
 
 from oracles import (all_values, apply_atom_map, apply_atom_map_env,
-                     atoms_of, enumerate_values, in_Vk, join,
+                     atoms_of, enumerate_values, eval_ra, in_Vk, join,
                      relation_satisfies)
 
 A, B = Atom("a"), Atom("b")
@@ -482,20 +483,23 @@ def _all_dbs(atoms, max_tuples):
     return [{"R": r, "S": s} for r in rels(2) for s in rels(2)]
 
 
-def _check_ra(q, db, oracles):
+def _check_ra(q, dbs, oracles):
+    """q, compiled once per oracle suite, agrees with eval_ra on every
+    database of dbs."""
     attrs = ra_schema(q, RA_SCHEMA)
     expr, _gamma = compile_ra(q, RA_SCHEMA)
-    out = eval_rx(expr, encode_db(db, RA_SCHEMA), oracles)
-    assert out.is_defined, q
-    assert decode_relation(out.value, attrs) == \
-        eval_ra(q, db, RA_SCHEMA), (q, db)
+    run = compile_rx(expr, oracles)
+    for db in dbs:
+        out = run(encode_db(db, RA_SCHEMA))
+        assert out.is_defined, q
+        assert decode_relation(out.value, attrs) == \
+            eval_ra(q, db, RA_SCHEMA), (q, db)
 
 
 def test_ac6_ra_compiler_exhaustive_depth2():
     dbs = _all_dbs(("1", "2"), 1)
     for q in _ra_exprs(2):
-        for db in dbs:
-            _check_ra(q, db, DEFAULT_ORACLES)
+        _check_ra(q, dbs, DEFAULT_ORACLES)
 
 
 def test_ac6_ra_compiler_depth3_both_oracles():
@@ -504,9 +508,8 @@ def test_ac6_ra_compiler_depth3_both_oracles():
     sample = rng.sample(depth3, 30)
     dbs = rng.sample(_all_dbs(("1", "2", "3"), 2), 4)
     for q in sample:
-        for db in dbs:
-            for oracles in (DEFAULT_ORACLES, ALT_ORACLES):
-                _check_ra(q, db, oracles)
+        for oracles in (DEFAULT_ORACLES, ALT_ORACLES):
+            _check_ra(q, dbs, oracles)
 
 
 # ---------------------------------------------------------------------------

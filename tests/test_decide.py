@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import nrcx.frontend
+import nrcx.penrc
 from nrcx.decide import (BudgetExceededError, NonPenrcError,
                          PreconditionError, SelfCheckError, Verdict,
                          atom_supply, brute_force_verdict, decide,
@@ -395,3 +397,35 @@ def test_verdicts_stable_under_enlarged_bounds():
         base = well_defined_penrc(e, gamma)
         grown = brute_force_verdict(e, gamma, "welldef", card + 1, atoms + 1)
         assert base.result == grown.result, e
+
+
+# --- shared subtrees of the pure-RX translation ----------------------------
+
+
+@pytest.mark.parametrize("form, counts", [
+    ("sing", {"free_vars": 330, "literals": 150, "complexity": 120}),
+    ("text", {"free_vars": 510, "literals": 240, "complexity": 210}),
+])
+def test_deep_pure_rx_translation_is_walked_once_per_node(
+        monkeypatch, form, counts):
+    """The translation of (sing e) and (text e) reaches the translation
+    of e along two or four paths, so a pass that walks the DAG as a tree
+    makes more than 2^30 calls at depth 30.  Walked once per node, the
+    recursive calls of each pass grow linearly with the depth."""
+    calls = dict.fromkeys(counts, 0)
+    for module, name in [(nrcx.frontend, "free_vars"),
+                         (nrcx.frontend, "literals"),
+                         (nrcx.penrc, "complexity")]:
+        def counted(*args, _f=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(module, name, counted)
+    src = "x"
+    for _ in range(30):
+        src = f"({form} {src})"
+    v = decide(parse(src, "pure-rx"), {"x": T("(data)")}, "welldef",
+               lang="pure-rx")
+    # A data node is not a set, so the second (sing …) or (text …) fails.
+    assert v.result is False and v.bounds["examined"] == 1
+    assert calls == counts
+

@@ -129,11 +129,11 @@ def _random_rx(rng, depth, vars_, pure):
     return rng.choice(forms)()
 
 
-def _corpus_lines(rng, make, lang, universe, evaluate):
-    """Outcomes of N_EXPRS random expressions of depth 1 to 4, each on
-    N_ENVS random environments over universe."""
+def _corpus_lines(rng, make, lang, universe, evaluate, n_exprs=None):
+    """Outcomes of n_exprs (default N_EXPRS) random expressions of depth
+    1 to 4, each on N_ENVS random environments over universe."""
     lines = []
-    for _ in range(N_EXPRS):
+    for _ in range(n_exprs or N_EXPRS):
         e = parse(make(rng, rng.randrange(1, 5), ["x", "y"]), lang)
         lines.append(print_expr(e))
         for _ in range(N_ENVS):
@@ -158,13 +158,61 @@ def _pure_rx_lines():
                          lambda e, env: [eval_pure_rx(e, env)])
 
 
+def _rx_universe():
+    return [v for v in pure_universe([A, B], 2) if isinstance(v, VSet)]
+
+
+def _eval_rx_both(e, env):
+    return [eval_rx(e, env, o) for o in (DEFAULT_ORACLES, ALT_ORACLES)]
+
+
 def _rx_lines():
-    universe = [v for v in pure_universe([A, B], 2) if isinstance(v, VSet)]
     return _corpus_lines(random.Random(7003),
                          lambda rng, d, vs: _random_rx(rng, d, vs, False),
-                         "rx", universe,
-                         lambda e, env: [eval_rx(e, env, o) for o in
-                                         (DEFAULT_ORACLES, ALT_ORACLES)])
+                         "rx", _rx_universe(), _eval_rx_both)
+
+
+def _random_guarded_for(rng, _depth, gamma_vars):
+    """A for* of 1 to 3 bindings whose body is a cond on a conjunction
+    of 1 to 3 eq tests, with the else branch (empty).  Sources are random
+    RX expressions, children of a variable, or bare variables; eq
+    operands are variables in scope, their names and children, or
+    literals.  The kind is mostly kind-any; the others leave sources
+    with elements of which none passes."""
+    scope = list(gamma_vars)
+    bindings = []
+    for i in range(rng.randint(1, 3)):
+        # Γ is drawn twice as often, so that most sources name no loop
+        # variable.
+        var = lambda: rng.choice(scope + list(gamma_vars))  # noqa: E731
+        src = rng.choice([
+            lambda: _random_rx(rng, rng.randrange(0, 3), scope, False),
+            lambda: f"(children {var()})",
+            var,
+        ])()
+        bindings.append(f"(v{i} {src})")
+        scope.append(f"v{i}")
+    def test():
+        # Each test names Γ and a random prefix of the loop variables.
+        names = scope[:rng.randint(len(gamma_vars), len(scope))]
+        operand = lambda: rng.choice([  # noqa: E731
+            lambda: rng.choice(names),
+            lambda: f"(name {rng.choice(names)})",
+            lambda: f"(children {rng.choice(names)})",
+            lambda: rng.choice(["(lit a)", "(lit b)"]),
+        ])()
+        return f"(eq {operand()} {operand()})"
+    tests = [test() for _ in range(rng.randint(1, 3))]
+    cond = tests[0] if len(tests) == 1 else f"(and {' '.join(tests)})"
+    kind = rng.choice(["(kind-any)"] * 3 + KINDS[:3])
+    body = _random_rx(rng, rng.randrange(0, 3), scope, False)
+    return (f"(for* ({' '.join(bindings)}) {kind} "
+            f"(cond {cond} {body} (empty)))")
+
+
+def _guarded_for_lines():
+    return _corpus_lines(random.Random(7004), _random_guarded_for, "rx",
+                         _rx_universe(), _eval_rx_both, n_exprs=1500)
 
 
 EVAL_PENRC_RANDOM_SHA256 = \
@@ -173,6 +221,10 @@ EVAL_PURE_RX_RANDOM_SHA256 = \
     "dc009dd2794212bb36a394d97a0bd8294f67a2d0dd14021f4cb6aa0cf9258f04"
 EVAL_RX_RANDOM_SHA256 = \
     "8de69daa37c7f43c1b5f69f8fed729bc4bbc9d08afdb9ebe10c703fec9d40656"
+# A for whose body is a chain of fors ending in a guard with else
+# (empty): the form whose guard evaluation the compiled for reorders.
+EVAL_RX_GUARDED_FOR_SHA256 = \
+    "ccdcedb9d5718c0afc437cfeeb21d73d549b961cb0f8e1aeb29828fd5a91b3ac"
 
 
 def _check_corpus(lines, digest):
@@ -192,3 +244,9 @@ def test_eval_pure_rx_random_corpus_is_pinned():
 
 def test_eval_rx_random_corpus_is_pinned():
     _check_corpus(_rx_lines(), EVAL_RX_RANDOM_SHA256)
+
+
+def test_eval_rx_guarded_for_corpus_is_pinned():
+    lines = _guarded_for_lines()
+    assert len(lines) == 1500 * (1 + 8 * 2)
+    _check_corpus(lines, EVAL_RX_GUARDED_FOR_SHA256)

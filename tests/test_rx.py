@@ -1,11 +1,15 @@
 import pytest
 
+import nrcx.rx
 from nrcx.frontend import parse
 from nrcx.rx import (ALT_ORACLES, DEFAULT_ORACLES, ORACLE_SUITES, Defined,
-                     Undefined, eval_pure_rx, eval_rx, rx_children, rx_data,
-                     rx_name)
+                     Undefined, compile_rx, eval_pure_rx, eval_rx,
+                     rx_children, rx_data, rx_name)
+from nrcx.translate import compile_ra, decode_relation, encode_db
 from nrcx.values import (Atom, DataNode, ElemNode, VSet, vset, EMPTY_SET,
                          is_pure_rx_value, is_rx_value)
+
+from oracles import eval_ra
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 
@@ -239,3 +243,50 @@ def test_pure_kind_filter_respected():
     env = {"R": vset(a, DataNode(b))}
     out = prx("(for x (kind-data) R (sing x))", env)
     assert out == Defined(vset(DataNode(b)))
+
+
+# --- compiled RA: guards tested in the loop that binds their operands -------
+
+RA_SCHEMA = {"R": ("A", "B"), "S": ("C", "D")}
+RA_DBS = [
+    {"R": set(), "S": {("1", "2")}},
+    {"R": {("1", "2")}, "S": {("2", "1")}},
+    {"R": {("1", "2"), ("2", "2")}, "S": {("2", "1"), ("1", "1")}},
+    {"R": {("1", "1"), ("1", "2"), ("2", "1")}, "S": {("3", "3")}},
+]
+# The difference of 4-attribute products binds 8 attributes per pair of
+# tuples; the second query's difference is not empty.
+DIFFERENCES = [
+    "(diff (product (rel R) (rel S)) (product (rel R) (rel S)))",
+    "(diff (product (rel R) (rel S)) (product (select A B (rel R)) (rel S)))",
+]
+
+
+@pytest.mark.parametrize("src", DIFFERENCES)
+def test_difference_of_products_agrees_with_eval_ra(src):
+    q = parse(src, "ra")
+    expr, _gamma = compile_ra(q, RA_SCHEMA)
+    for oracles in (DEFAULT_ORACLES, ALT_ORACLES):
+        run = compile_rx(expr, oracles)
+        for db in RA_DBS:
+            out = run(encode_db(db, RA_SCHEMA))
+            assert out.is_defined
+            assert decode_relation(out.value, ("A", "B", "C", "D")) == \
+                eval_ra(q, db, RA_SCHEMA), (src, db)
+
+
+def test_difference_of_products_tests_names_outside_inner_loops(monkeypatch):
+    """With every conjunct tested in the innermost body, each pair of
+    tuples ran it 4^8 times: 1,398,260 rx_name calls on this database.
+    Each conjunct is now tested once per binding of its operand."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return rx_name(*args)
+    monkeypatch.setattr(nrcx.rx, "rx_name", counted)
+    expr, _gamma = compile_ra(parse(DIFFERENCES[0], "ra"), RA_SCHEMA)
+    out = eval_rx(expr, encode_db(RA_DBS[2], RA_SCHEMA))
+    assert out == Defined(EMPTY_SET)
+    assert calls[0] <= 2000
+

@@ -12,9 +12,8 @@ from nrcx.translate import (NotAnEncodingError, NotInImageError,
                             build_fd_id_reduction, compile_ra, dec, dec_env,
                             decode_relation, dependency_expr,
                             desugar_emptiness, enc, enc_env, encode_db,
-                            encode_relation, eval_ra, normalize_relation,
-                            ra_schema, translate_expr, translate_kind,
-                            translate_type)
+                            encode_relation, normalize_relation, ra_schema,
+                            translate_expr, translate_kind, translate_type)
 from nrcx.typeterms import (AtomT, CollT, DataEncT, DataT, ElemT, KAtom,
                             KData, KElem, KSum, ProdT, SumT, VoidT,
                             count_values_upper, is_nrc_type, kind_member, member, rank,
@@ -22,7 +21,8 @@ from nrcx.typeterms import (AtomT, CollT, DataEncT, DataT, ElemT, KAtom,
 from nrcx.values import (Atom, DataNode, ElemNode, Pair, VSet, vset,
                          EMPTY_SET)
 
-from oracles import decodes, enumerate_values, relation_satisfies
+from oracles import (decodes, enumerate_values, eval_ra,
+                     relation_satisfies)
 
 a, b, n = Atom("a"), Atom("b"), Atom("n")
 
