@@ -24,7 +24,7 @@ from .decide import (BudgetExceededError, DEFAULT_MAX_ENVS, DEFAULT_TIMEOUT,
 from .decide import (satisfiable_penrc, typecheck_penrc,  # noqa: F401
                      typecheck_pure_rx, well_defined_penrc,
                      well_defined_pure_rx)
-from .frontend import (FD, IND, free_vars, parse, parse_type, print_expr,
+from .frontend import (_build_dep, free_vars, parse, parse_type, print_expr,
                        print_type)
 from .rx import ORACLE_SUITES, eval_pure_rx, eval_rx
 from .penrc import eval_penrc
@@ -111,20 +111,20 @@ def _load_gamma(path):
 def _load_schema(path):
     schema = {}
     for entry in _load_sexpr(path, list):
-        if isinstance(entry, str) or len(entry) != 2 or isinstance(entry[1], str):
+        if (isinstance(entry, str) or len(entry) != 2 or isinstance(entry[1], str)
+                or not all(isinstance(x, str) for x in [entry[0], *entry[1]])):
             raise CliError(f"{path}: schema entry must be (name (attrs...))")
         name, attrs = entry
+        if name in schema:
+            raise CliError(f"{path}: relation {name} declared twice")
+        if len(set(attrs)) != len(attrs):
+            raise CliError(f"{path}: relation {name} repeats an attribute")
         schema[name] = tuple(attrs)
     return schema
 
 
 def _load_deps(path):
-    out = []
-    for sx in _load_sexpr(path, list, many=True):
-        dep = parse(sexpr.write(sx), "deps")
-        assert isinstance(dep, (FD, IND))
-        out.append(dep)
-    return out
+    return _load_sexpr(path, lambda sxs: list(map(_build_dep, sxs)), many=True)
 
 
 # ---------------------------------------------------------------------------

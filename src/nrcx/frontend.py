@@ -13,6 +13,7 @@ rebuilding.  The RX sugar (``for*``, ``cond``) is expanded by
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from . import sexpr
@@ -21,9 +22,6 @@ from .values import Atom
 from .typeterms import (AtomT, CollT, DataT, ElemT, KAtom, KColl, KData,
                         KElem, KProd, KSum, KIND_ANY, ProdT, SingleT, SumT,
                         VoidT)
-
-LANGUAGES = ("rx", "pure-rx", "penrc", "ra", "deps")
-
 
 # ---------------------------------------------------------------------------
 # RX / pure RX expressions.  Pure RX shares the constructors and adds
@@ -313,12 +311,13 @@ def free_vars(e, memo=None) -> frozenset:
     out = memo.get(id(e))
     if out is not None:
         return out
-    if isinstance(e, (Var, NVar, Relation)):
+    cls = type(e)
+    if cls in (Var, NVar, Relation):
         out = frozenset([e.name])
-    elif isinstance(e, (For, NComp)):
+    elif cls in (For, NComp):
         out = (free_vars(e.source, memo)
                | (free_vars(e.body, memo) - {e.var}))
-    elif isinstance(e, MultiFor):
+    elif cls is MultiFor:
         out = frozenset()
         bound = set()
         for var, src in e.bindings:
@@ -338,10 +337,7 @@ def _children(e):
     the sources of its bindings included (not kinds or types)."""
     form = _BY_CLASS.get(type(e))
     if form is not None:
-        out = ()
-        for name, shape in form.holders:
-            out += shape.exprs(getattr(e, name))
-        return out
+        return form.children(e)
     if isinstance(e, (Var, NVar)):
         return ()
     raise TypeError(f"not an expression: {e!r}")
@@ -373,7 +369,7 @@ def literals(e, memo=None) -> frozenset:
     out = memo.get(id(e))
     if out is not None:
         return out
-    if isinstance(e, (AtomLit, NAtomLit)):
+    if type(e) in (AtomLit, NAtomLit):
         out = frozenset([e.atom])
     else:
         out = frozenset()
@@ -439,6 +435,12 @@ _TYPE_HEADS = {type(t): h for h, t in _NULLARY_TYPES.items()}
 _KIND_HEADS = {type(k): h for h, k in _NULLARY_KINDS.items()}
 
 
+def _shown(sx):
+    """sx quoted for an error message, cut short after 80 characters."""
+    text = sexpr.write(sx)
+    return repr(text if len(text) <= 80 else text[:77] + "...")
+
+
 def _form_head(sx, what):
     if isinstance(sx, str):
         raise ParseError(f"expected a {what}, got symbol {sx!r}")
@@ -466,7 +468,7 @@ def parse_type(sx):
         return ProdT(parse_type(sx[1]), parse_type(sx[2]))
     if head == "sum" and len(sx) >= 3:
         return fold_right(SumT, [parse_type(p) for p in sx[1:]])
-    raise ParseError(f"malformed type form {sexpr.write(sx)!r}")
+    raise ParseError(f"malformed type form {_shown(sx)}")
 
 
 def print_type(t):
@@ -497,7 +499,7 @@ def parse_kind(sx):
         return KProd(parse_kind(sx[1]), parse_kind(sx[2]))
     if head == "kind-sum" and len(sx) >= 3:
         return fold_right(KSum, [parse_kind(p) for p in sx[1:]])
-    raise ParseError(f"malformed kind form {sexpr.write(sx)!r}")
+    raise ParseError(f"malformed kind form {_shown(sx)}")
 
 
 def print_kind(k):
@@ -566,7 +568,7 @@ def _read_attrs(sx):
 
 def _read_cond(sx, sub):
     if isinstance(sx, str) or not sx:
-        raise ParseError(f"malformed condition {sexpr.write(sx)!r}")
+        raise ParseError(f"malformed condition {_shown(sx)}")
     if sx[0] in ("and", "or"):
         if len(sx) < 3:
             raise ParseError(f"{sx[0]} takes at least 2 conditions")
@@ -661,16 +663,29 @@ RA_FORMS = (
 class _Form(NamedTuple):
     head: str
     cls: type
-    args: tuple     # ((field name, shape), ...)
-    holders: tuple  # the args whose shapes hold expressions
+    args: tuple        # ((field name, shape), ...)
+    children: Callable  # node -> its direct subexpressions (see _children)
+
+
+def _child_getter(args):
+    """The children of a node of a row: one attrgetter reads 2+ EXPR args."""
+    holders = [(name, shape) for name, shape in args if shape.exprs]
+    if len(holders) > 1 and all(shape is EXPR for _, shape in holders):
+        return attrgetter(*[name for name, _ in holders])
+
+    def children(e):
+        out = ()
+        for name, shape in holders:
+            out += shape.exprs(getattr(e, name))
+        return out
+    return children
 
 
 def _by_head(table):
     forms = {}
     for head, cls, *shapes in table:
         args = tuple(zip([f.name for f in fields(cls)], shapes, strict=True))
-        forms[head] = _Form(head, cls, args,
-                            tuple(a for a in args if a[1].exprs))
+        forms[head] = _Form(head, cls, args, _child_getter(args))
     return forms
 
 
@@ -689,21 +704,15 @@ _BY_CLASS = {form.cls: form
 
 def parse(text: str, language: str):
     """Parse source text in the given language into an AST."""
-    if language not in LANGUAGES:
+    build = _BUILDERS.get(language)
+    if build is None:
         raise ValueError(f"unknown language tag {language!r}")
-    sx = sexpr.read(text)
-    if language in ("rx", "pure-rx"):
-        return _rx_builder(pure=(language == "pure-rx"))(sx)
-    if language == "penrc":
-        return _build_nrc(sx)
-    if language == "ra":
-        return _build_ra(sx)
-    return _build_dep(sx)
+    return build(sexpr.read(text))
 
 
 def _symbol(sx, what):
     if not isinstance(sx, str):
-        raise ParseError(f"expected {what}, got {sexpr.write(sx)!r}")
+        raise ParseError(f"expected {what}, got {_shown(sx)}")
     return sx
 
 
@@ -717,16 +726,15 @@ def _head(sx):
     if not sx:
         raise ParseError("empty expression form")
     if not isinstance(sx[0], str):
-        raise ParseError(f"malformed form {sexpr.write(sx)!r}")
+        raise ParseError(f"malformed form {_shown(sx)}")
     return sx[0]
 
 
 def _build_form(sx, heads, unknown, sub):
     """Build the regular form sx from its row in `heads`: check the arity,
-    then read the arguments left to right, expressions by sub(arg).
-    Expressions are read directly, and the loop is not a comprehension,
-    so that each level of nesting costs two stack frames (this bounds
-    the nesting that parses)."""
+    then read the arguments left to right, expressions by sub(arg).  Only
+    the builders bound the nesting that parses, at two stack frames a
+    level: expressions are read directly, the loop is no comprehension."""
     form = heads.get(sx[0]) if isinstance(sx[0], str) else None
     if form is None:
         raise ParseError(f"{unknown} {sx[0]!r}")
@@ -775,13 +783,13 @@ def _build_nrc(sx):
 
 def _build_ra(sx):
     if isinstance(sx, str) or not sx:
-        raise ParseError(f"malformed relational form {sexpr.write(sx)!r}")
+        raise ParseError(f"malformed relational form {_shown(sx)}")
     return _build_form(sx, _RA_HEADS, "unknown relational form", _build_ra)
 
 
 def _build_dep(sx):
     if isinstance(sx, str) or not sx:
-        raise ParseError(f"malformed dependency {sexpr.write(sx)!r}")
+        raise ParseError(f"malformed dependency {_shown(sx)}")
     head = sx[0]
     if head in ("fd", "ind"):
         _arity(sx, 2)
@@ -791,3 +799,7 @@ def _build_dep(sx):
         rhs = tuple(_symbol(a, "an attribute") for a in sx[2])
         return FD(lhs, rhs) if head == "fd" else IND(lhs, rhs)
     raise ParseError(f"unknown dependency form {head!r}")
+
+
+_BUILDERS = {"rx": _rx_builder(False), "pure-rx": _rx_builder(True),
+             "penrc": _build_nrc, "ra": _build_ra, "deps": _build_dep}

@@ -1,10 +1,16 @@
 """Minimal s-expression reader/writer.
 
 Expressions are nested lists of symbols (plain Python strings).  The
-reader tracks line/column for diagnostics; ``;`` starts a comment.
+reader splits the text with one regular expression and nests the tokens
+with an explicit stack, so it reads any depth.  Whitespace is space,
+tab, CR and LF only; ``;`` starts a comment that runs to LF.  A
+``ParseError``'s line and column are computed from the offending token's
+offset only when it is raised; a comment does not advance the column.
 """
 
 from __future__ import annotations
+
+import re
 
 
 class ParseError(ValueError):
@@ -16,76 +22,58 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-_DELIMS = "()"
-_WS = " \t\r\n"
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
 
 
-def tokenize(text: str):
-    line, col = 1, 0
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 0
-            i += 1
-        elif c in _WS:
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in _DELIMS:
-            yield (c, line, col)
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in _WS + _DELIMS + ";":
-                i += 1
-                col += 1
-            yield (text[start:i], line, start_col)
-    yield (None, line, col)
+def _tokens(text):
+    toks = _TOKEN.findall(text)
+    return [t for t in toks if t[0] != ";"] if ";" in text else toks
+
+
+def _error(message, text, i):
+    """ParseError at token i of text (comments not counted) or its end."""
+    offsets = [m.start() for m in _TOKEN.finditer(text) if m[0][0] != ";"]
+    comment = text.find(";", text.rfind("\n") + 1)
+    offsets.append(len(text) if comment < 0 else comment)
+    off = offsets[i]
+    line_start = text.rfind("\n", 0, off) + 1
+    return ParseError(message, text.count("\n", 0, off) + 1, off - line_start)
 
 
 def read(text: str):
     """Read a single s-expression; trailing input is an error."""
-    toks = tokenize(text)
-    expr = _read_one(toks, *next(toks))
-    tok, line, col = next(toks)
-    if tok is not None:
-        raise ParseError(f"trailing input {tok!r}", line, col)
-    return expr
+    toks = _tokens(text)
+    for expr, i in _forms(text, toks):
+        if i < len(toks):
+            raise _error(f"trailing input {toks[i]!r}", text, i)
+        return expr
+    raise _error("unexpected end of input", text, 0)
 
 
 def read_all(text: str):
     """Read a sequence of s-expressions."""
-    toks = tokenize(text)
-    out = []
-    while True:
-        tok, line, col = next(toks)
-        if tok is None:
-            return out
-        out.append(_read_one(toks, tok, line, col))
+    return [expr for expr, _ in _forms(text, _tokens(text))]
 
 
-def _read_one(toks, tok, line, col):
-    if tok is None:
-        raise ParseError("unexpected end of input", line, col)
-    if tok == "(":
-        items = []
-        while True:
-            tok, line, col = next(toks)
-            if tok == ")":
-                return items
-            if tok is None:
-                raise ParseError("unclosed '('", line, col)
-            items.append(_read_one(toks, tok, line, col))
-    if tok == ")":
-        raise ParseError("unexpected ')'", line, col)
-    return tok
+def _forms(text, toks):
+    """Each expression of toks in turn, with the index after it."""
+    items = []  # the list being read; at the top level, what was read
+    stack = []  # the lists that enclose items, innermost last
+    for i, tok in enumerate(toks):
+        if tok == "(":
+            stack.append(items)
+            items = []
+        elif tok != ")":
+            items.append(tok)
+        elif stack:
+            stack[-1].append(items)
+            items = stack.pop()
+        else:
+            raise _error("unexpected ')'", text, i)
+        if not stack:
+            yield items.pop(), i + 1
+    if stack:
+        raise _error("unclosed '('", text, len(toks))
 
 
 def write(expr) -> str:

@@ -364,6 +364,30 @@ def test_env_nested_too_deeply_exit_1(tmp_path, capsys):
                           "nested too deeply\n")
 
 
+def test_deep_gamma_type_exit_1(tmp_path, capsys):
+    # The reader reads any depth; the type builder is what recurses.
+    depth = 3000
+    gamma = write(tmp_path, "gamma.sexpr",
+                  "((x " + "(coll " * depth + "(atom)" + ")" * depth + "))")
+    got = run(capsys, "check", write(tmp_path, "e.sexpr", "x"), "--lang",
+              "penrc", "--mode", "welldef", "--gamma", gamma)
+    assert got == (1, "", "error: expression nested too deeply\n")
+
+
+def test_deep_schema_and_dependency_files_exit_1(tmp_path, capsys):
+    deep = "(" * 3000 + "a" + ")" * 3000
+    schema = write(tmp_path, "schema.sexpr", f"((R {deep}))")
+    got = run(capsys, "compile-ra", write(tmp_path, "q.sexpr", "(rel R)"),
+              "--schema", schema)
+    assert got == (1, "", f"error: {schema}: schema entry must be "
+                          "(name (attrs...))\n")
+    rho = write(tmp_path, "rho.sexpr", f"(fd ({deep}) (B))")
+    got = run(capsys, "reduce-deps", "--rho", rho, "--arity", "2",
+              "--out-dir", str(tmp_path / "red"))
+    assert got == (1, "", f"error: {rho}: expected an attribute, got "
+                          f"'{'(' * 77}...'\n")
+
+
 # One problem per line: (lang, mode, expr, gamma, output type or None).
 # Every (lang, mode) pair, with a counterexample, a sat witness, an unsat
 # verdict and a failed well-definedness precondition among them.
@@ -463,6 +487,19 @@ def test_compile_ra_schema_error_exit_1(tmp_path, capsys):
     schema = write(tmp_path, "schema.sexpr", "((R (A B)))")
     code, _, err = run(capsys, "compile-ra", expr, "--schema", schema)
     assert code == 1 and err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("((R (A B)) (R (C D)))", "relation R declared twice"),
+    ("((R (A A)))", "relation R repeats an attribute"),
+    ("((R ((A) B)))", "schema entry must be (name (attrs...))"),
+    ("(((R) (A B)))", "schema entry must be (name (attrs...))"),
+])
+def test_compile_ra_malformed_schema_exit_1(tmp_path, capsys, text, message):
+    schema = write(tmp_path, "schema.sexpr", text)
+    got = run(capsys, "compile-ra", write(tmp_path, "q.sexpr", "(rel R)"),
+              "--schema", schema)
+    assert got == (1, "", f"error: {schema}: {message}\n")
 
 
 # --- reduce-deps -----------------------------------------------------------

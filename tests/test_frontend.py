@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nrcx import sexpr
 from nrcx.sexpr import ParseError
@@ -44,6 +45,71 @@ def test_sexpr_unbalanced():
         sexpr.read(")")
     with pytest.raises(ParseError):
         sexpr.read("(")
+
+
+# (function, text, str(ParseError), line, col).  A ";" comment does not
+# advance the column, so an end of text inside one is placed where it
+# starts; only LF starts a line; tab and CR are one column each.
+READER_ERRORS = [
+    ("read", ")", "1:0: unexpected ')'", 1, 0),
+    ("read", "(a))", "1:3: trailing input ')'", 1, 3),
+    ("read_all", "(a) )", "1:4: unexpected ')'", 1, 4),
+    ("read_all", ")", "1:0: unexpected ')'", 1, 0),
+    ("read_all", "(a) ; x\n )", "2:1: unexpected ')'", 2, 1),
+    ("read", "(a (b", "1:5: unclosed '('", 1, 5),
+    ("read", "((a)", "1:4: unclosed '('", 1, 4),
+    ("read", "(a (b ; comment", "1:6: unclosed '('", 1, 6),
+    ("read", "(a\n  (b ; c", "2:5: unclosed '('", 2, 5),
+    ("read", "(a ; c\n", "2:0: unclosed '('", 2, 0),
+    ("read_all", "(a) (b", "1:6: unclosed '('", 1, 6),
+    ("read", "(a) b", "1:4: trailing input 'b'", 1, 4),
+    ("read", "a (", "1:2: trailing input '('", 1, 2),
+    ("read", "(a)\n\n)", "3:0: trailing input ')'", 3, 0),
+    ("read", "(a b) ; c\n d", "2:1: trailing input 'd'", 2, 1),
+    ("read", "", "1:0: unexpected end of input", 1, 0),
+    ("read", "  \n ", "2:1: unexpected end of input", 2, 1),
+    ("read", "; only a comment", "1:0: unexpected end of input", 1, 0),
+    ("read", "; c\n", "2:0: unexpected end of input", 2, 0),
+    ("read", "\t(a)\t)", "1:5: trailing input ')'", 1, 5),
+    ("read", "(a\r\n b))", "2:3: trailing input ')'", 2, 3),
+    ("read", "(a\r b) c", "1:7: trailing input 'c'", 1, 7),
+    ("read", "a\fb c", "1:4: trailing input 'c'", 1, 4),
+    ("read", "(é ü\xa0x) y", "1:8: trailing input 'y'", 1, 8),
+]
+
+
+@pytest.mark.parametrize("fn,text,message,line,col", READER_ERRORS)
+def test_sexpr_error_positions(fn, text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        getattr(sexpr, fn)(text)
+    assert (str(err.value), err.value.line, err.value.col) == \
+        (message, line, col)
+
+
+def test_sexpr_whitespace_is_space_tab_cr_lf_only():
+    assert sexpr.read("(a\fb é ü\xa0x\x0by)") == \
+        ["a\fb", "é", "ü\xa0x\x0by"]
+    assert sexpr.read_all("") == [] and sexpr.read_all("; c") == []
+    assert sexpr.read_all("a ; c\n(b\r\n\tc)") == ["a", ["b", "c"]]
+
+
+def test_sexpr_reads_any_depth():
+    depth = 100_000
+    x = sexpr.read("(" * depth + "a" + ")" * depth)
+    for _ in range(depth):
+        (x,) = x
+    assert x == "a"
+
+
+_SYMBOLS = st.text(st.characters(blacklist_characters=" \t\r\n();"),
+                   min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_SYMBOLS, lambda kids: st.lists(kids, max_size=4),
+                    max_leaves=30))
+def test_sexpr_read_write_round_trip(x):
+    assert sexpr.read(sexpr.write(x)) == x
 
 
 # --- types and kinds -------------------------------------------------------
