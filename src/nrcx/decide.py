@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 
 from .frontend import NEmptyCond, free_vars, literals, _children
 from .penrc import complexity, compile_penrc
+from .record import record
 from .static import certify
 # perfbench/tracing.py wraps nrcx.decide.eval_penrc, so the name stays;
 # the search runs the program compile_penrc returns instead.
@@ -64,7 +64,7 @@ DEFAULT_TIMEOUT = 60.0
 DEFAULT_MINIMIZE_BUDGET = 20_000
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     """Outcome of a decision procedure.
 
@@ -77,7 +77,7 @@ class Verdict:
 
     result: bool
     counterexample: dict | None
-    bounds: dict = field(default_factory=dict)
+    bounds: dict
 
     def to_json(self):
         return {

@@ -12,11 +12,10 @@ rebuilding.  The RX sugar (``for*``, ``cond``) is expanded by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Callable, NamedTuple
 
 from . import sexpr
+from .record import record
 from .sexpr import ParseError
 from .values import Atom
 from .typeterms import (AtomT, CollT, DataT, ElemT, KAtom, KColl, KData,
@@ -29,59 +28,59 @@ from .typeterms import (AtomT, CollT, DataT, ElemT, KAtom, KColl, KData,
 # desugar to core (see desugar()).
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class AtomLit:
     atom: Atom
 
 
-@dataclass(frozen=True)
+@record
 class Text:
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class Elem:
     name_expr: object
     content: object
 
 
-@dataclass(frozen=True)
+@record
 class DataF:
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class NameF:
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class ChildrenF:
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class EmptySeq:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Seq:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class Sing:
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class For:
     var: str
     kind: object
@@ -89,7 +88,7 @@ class For:
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class IfEq:
     left: object
     right: object
@@ -97,14 +96,14 @@ class IfEq:
     els: object
 
 
-@dataclass(frozen=True)
+@record
 class IfEmpty:
     cond: object
     then: object
     els: object
 
 
-@dataclass(frozen=True)
+@record
 class IfType:
     cond: object
     type: object
@@ -112,39 +111,39 @@ class IfType:
     els: object
 
 
-@dataclass(frozen=True)
+@record
 class MultiFor:
     bindings: tuple  # ((var, source_expr), ...)
     kind: object
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class CondIf:
     cond: object
     then: object
     els: object
 
 
-@dataclass(frozen=True)
+@record
 class CEq:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class CAnd:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class COr:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class CNot:
     arg: object
 
@@ -154,61 +153,61 @@ class CNot:
 # which the evaluator accepts but the decision procedures reject).
 
 
-@dataclass(frozen=True)
+@record
 class NVar:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class NAtomLit:
     atom: Atom
 
 
-@dataclass(frozen=True)
+@record
 class NPair:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class NProj1:
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class NProj2:
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class NEmpty:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class NSing:
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class NUnion:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class NFlatten:
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class NComp:
     var: str
     source: object
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class NEqCond:
     left: object
     right: object
@@ -216,7 +215,7 @@ class NEqCond:
     els: object
 
 
-@dataclass(frozen=True)
+@record
 class NKindCond:
     subject: object
     kind: object
@@ -224,7 +223,7 @@ class NKindCond:
     els: object
 
 
-@dataclass(frozen=True)
+@record
 class NEmptyCond:
     cond: object
     then: object
@@ -235,56 +234,56 @@ class NEmptyCond:
 # Relational algebra and dependencies.
 
 
-@dataclass(frozen=True)
+@record
 class Relation:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Select:
     attr1: str
     attr2: str
     arg: object
 
 
-@dataclass(frozen=True)
+@record
 class Project:
     attrs: tuple
     arg: object
 
 
-@dataclass(frozen=True)
+@record
 class Product:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class Rename:
     old: str
     new: str
     arg: object
 
 
-@dataclass(frozen=True)
+@record
 class RaUnion:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class Diff:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class FD:
     lhs: tuple
     rhs: tuple
 
 
-@dataclass(frozen=True)
+@record
 class IND:
     lhs: tuple
     rhs: tuple
@@ -543,7 +542,8 @@ def print_expr(e) -> str:
 # rows; docs/grammar.md describes the same forms.
 
 
-class Shape(NamedTuple):
+@record
+class Shape:
     """How one argument of a form is read from an s-expression and
     written back, and which expressions it holds.  read(sx, sub) gets
     sub, the builder of the row language's expressions; a shape that
@@ -567,7 +567,7 @@ def _read_attrs(sx):
 
 
 def _read_cond(sx, sub):
-    if isinstance(sx, str) or not sx:
+    if isinstance(sx, str) or not sx or not isinstance(sx[0], str):
         raise ParseError(f"malformed condition {_shown(sx)}")
     if sx[0] in ("and", "or"):
         if len(sx) < 3:
@@ -660,7 +660,8 @@ RA_FORMS = (
 )
 
 
-class _Form(NamedTuple):
+@record
+class _Form:
     head: str
     cls: type
     args: tuple        # ((field name, shape), ...)
@@ -684,7 +685,7 @@ def _child_getter(args):
 def _by_head(table):
     forms = {}
     for head, cls, *shapes in table:
-        args = tuple(zip([f.name for f in fields(cls)], shapes, strict=True))
+        args = tuple(zip(cls._fields, shapes, strict=True))
         forms[head] = _Form(head, cls, args, _child_getter(args))
     return forms
 
@@ -731,11 +732,11 @@ def _head(sx):
 
 
 def _build_form(sx, heads, unknown, sub):
-    """Build the regular form sx from its row in `heads`: check the arity,
-    then read the arguments left to right, expressions by sub(arg).  Only
-    the builders bound the nesting that parses, at two stack frames a
-    level: expressions are read directly, the loop is no comprehension."""
-    form = heads.get(sx[0]) if isinstance(sx[0], str) else None
+    """Build the regular form sx, its head a symbol, from its row in
+    `heads`: check the arity, then read the arguments left to right,
+    expressions by sub(arg).  Only the builders bound the nesting that
+    parses, at two stack frames a level: no comprehension reads them."""
+    form = heads.get(sx[0])
     if form is None:
         raise ParseError(f"{unknown} {sx[0]!r}")
     _arity(sx, len(form.args))
@@ -782,13 +783,13 @@ def _build_nrc(sx):
 
 
 def _build_ra(sx):
-    if isinstance(sx, str) or not sx:
+    if isinstance(sx, str) or not sx or not isinstance(sx[0], str):
         raise ParseError(f"malformed relational form {_shown(sx)}")
     return _build_form(sx, _RA_HEADS, "unknown relational form", _build_ra)
 
 
 def _build_dep(sx):
-    if isinstance(sx, str) or not sx:
+    if isinstance(sx, str) or not sx or not isinstance(sx[0], str):
         raise ParseError(f"malformed dependency {_shown(sx)}")
     head = sx[0]
     if head in ("fd", "ind"):

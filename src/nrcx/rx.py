@@ -51,13 +51,12 @@ simulation into the nested calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable
 
 from .frontend import (AtomLit, ChildrenF, DataF, Elem, EmptySeq, For,
                        IfEmpty, IfEq, IfType, NameF, Seq, Sing, Text, Var,
                        desugar, free_vars)
+from .record import record
 from .typeterms import kind_filter, kind_member, member
 from .values import EMPTY_SET, Atom, DataNode, ElemNode, VSet, vset
 
@@ -78,7 +77,7 @@ ITERATION_OVER_NONSET = "iteration-over-nonset"
 BODY_NOT_SET = "for-body-not-set"
 
 
-@dataclass(frozen=True)
+@record
 class Defined:
     value: object
 
@@ -87,7 +86,7 @@ class Defined:
         return True
 
 
-@dataclass(frozen=True)
+@record
 class Undefined:
     reason: str
     expr: object = None
@@ -226,7 +225,7 @@ def _unary(classes, reason, result):
     return build
 
 
-@dataclass(frozen=True)
+@record
 class OracleSuite:
     """The two oracle functions of the set-based semantics.
 

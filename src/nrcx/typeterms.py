@@ -18,53 +18,53 @@ Kinds use ``KAtom | KData | KElem | KColl | KProd | KSum``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import merge
 
+from .record import record
 from .sexpr import write
 from .values import (EMPTY_SET, Atom, DataNode, ElemNode, Pair, VSet,
                      sort_key)
 
 
-@dataclass(frozen=True)
+@record
 class VoidT:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class AtomT:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class DataT:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ElemT:
     # RX: a CollT/SingleT content type; pure RX: a union of node types
     # (VoidT for the empty union).
     content: object
 
 
-@dataclass(frozen=True)
+@record
 class CollT:
     item: object
 
 
-@dataclass(frozen=True)
+@record
 class SingleT:
     item: object
 
 
-@dataclass(frozen=True)
+@record
 class ProdT:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class SumT:
     left: object
     right: object
@@ -73,7 +73,6 @@ class SumT:
 PAPER_DATA_T = ProdT(ProdT(AtomT(), AtomT()), CollT(VoidT()))
 
 
-@dataclass(frozen=True)
 class DataEncT(ProdT):
     """The encodings ((a, a), {}) of data nodes: the diagonal subclass of
     the PAPER_DATA_T product.  The paper translates data to PAPER_DATA_T,
@@ -83,37 +82,38 @@ class DataEncT(ProdT):
     complexity, value count bound, printed form and projections, so the
     bounds derived from a translated type are the paper's; only the
     rules about its values name it.  It never equals PAPER_DATA_T."""
-    left: object = field(default=PAPER_DATA_T.left, init=False)
-    right: object = field(default=PAPER_DATA_T.right, init=False)
+
+    def __init__(self):
+        ProdT.__init__(self, PAPER_DATA_T.left, PAPER_DATA_T.right)
 
 
-@dataclass(frozen=True)
+@record
 class KAtom:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class KData:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class KElem:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class KColl:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class KProd:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class KSum:
     left: object
     right: object

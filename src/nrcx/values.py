@@ -28,7 +28,6 @@ CLI.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Mapping
 
 # Atom tokens starting with "@" are reserved for machinery-generated
 # fresh atoms (decision procedures, reduction tags).

@@ -388,6 +388,27 @@ def test_deep_schema_and_dependency_files_exit_1(tmp_path, capsys):
                           f"'{'(' * 77}...'\n")
 
 
+@pytest.mark.parametrize("command,lang,template,what", [
+    ("parse", "ra", "({} x)", "relational form"),
+    ("parse", "rx", "(cond ({} x) y z)", "condition"),
+    ("reduce-deps", None, "({} (A) (B))", "dependency"),
+])
+def test_deep_head_is_malformed_exit_1(tmp_path, capsys, command, lang,
+                                       template, what):
+    # A head that is not a symbol is named by the form, cut short, at
+    # any depth.
+    text = template.format("(" * 1000 + "a" + ")" * 1000)
+    path = write(tmp_path, "e.sexpr", text)
+    if command == "parse":
+        argv = ["parse", path, "--lang", lang]
+    else:
+        argv = ["reduce-deps", "--rho", path, "--arity", "2",
+                "--out-dir", str(tmp_path / "red")]
+    got = run(capsys, *argv)
+    assert got == (1, "", f"error: {path}: malformed {what} "
+                          f"'{'(' * 77}...'\n")
+
+
 # One problem per line: (lang, mode, expr, gamma, output type or None).
 # Every (lang, mode) pair, with a counterexample, a sat witness, an unsat
 # verdict and a failed well-definedness precondition among them.

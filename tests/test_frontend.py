@@ -373,6 +373,7 @@ PARSE_ERRORS = [
     ("rx", "(cond x y z)", "malformed condition 'x'"),
     ("rx", "(cond () y z)", "malformed condition '()'"),
     ("rx", "(cond (xor x y) y z)", "unknown condition form 'xor'"),
+    ("rx", "(cond ((a) x) y z)", "malformed condition '((a) x)'"),
     ("rx", "(cond (and (eq x y)) y z)", "and takes at least 2 conditions"),
     ("rx", "(cond (not) y z)", "form 'not' takes 1 argument(s), got 0"),
     ("rx", "(cond (eq x) y z)", "form 'eq' takes 2 argument(s), got 1"),
@@ -397,7 +398,7 @@ PARSE_ERRORS = [
     # relational algebra
     ("ra", "R", "malformed relational form 'R'"),
     ("ra", "()", "malformed relational form '()'"),
-    ("ra", "((a) x)", "unknown relational form ['a']"),
+    ("ra", "((a) x)", "malformed relational form '((a) x)'"),
     ("ra", "(wibble)", "unknown relational form 'wibble'"),
     ("ra", "(rel)", "form 'rel' takes 1 argument(s), got 0"),
     ("ra", "(rel (R))", "expected a relation name, got '(R)'"),
@@ -412,6 +413,7 @@ PARSE_ERRORS = [
     ("deps", "(fd A (B))", "fd takes two attribute lists"),
     ("deps", "(ind (A) ((B)))", "expected an attribute, got '(B)'"),
     ("deps", "(mvd (A) (B))", "unknown dependency form 'mvd'"),
+    ("deps", "((fd) (a) (b))", "malformed dependency '((fd) (a) (b))'"),
     # pure RX loops range over items only
     ("pure-rx", "(for v (kind-coll) x x)", "not a pure RX kind: (kind-coll)"),
     ("pure-rx", "(for v (kind-sum (kind-atom) (kind-coll)) x x)",
