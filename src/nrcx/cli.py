@@ -127,6 +127,13 @@ def _load_deps(path):
     return _load_sexpr(path, lambda sxs: list(map(_build_dep, sxs)), many=True)
 
 
+def _symbol_arg(text, flag):
+    """text, if it is one symbol, so that the output reads back."""
+    if not sexpr.SYMBOL.fullmatch(text):
+        raise CliError(f"{flag}: {text!r} is not a symbol")
+    return text
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 
@@ -230,7 +237,7 @@ def cmd_translate(args):
 def cmd_compile_ra(args):
     phi = _load_expr(args.expr, "ra")
     schema = _load_schema(args.schema)
-    expr, gamma = compile_ra(phi, schema, tag=args.tag)
+    expr, gamma = compile_ra(phi, schema, tag=_symbol_arg(args.tag, "--tag"))
     _write_out(print_expr(expr), args.out)
     if args.gamma_out is not None:
         _write_out(_gamma_text(gamma), args.gamma_out)
@@ -246,7 +253,8 @@ def cmd_reduce_deps(args):
     rho_deps = _load_deps(args.rho)
     if len(rho_deps) != 1:
         raise CliError("the conclusion file must contain exactly one dependency")
-    attrs = tuple(args.attrs.split(",")) if args.attrs else None
+    attrs = tuple(_symbol_arg(a, "--attrs")
+                  for a in args.attrs.split(",")) if args.attrs else None
     e1, e2, gamma, gtype = build_fd_id_reduction(sigma, rho_deps[0],
                                                  args.arity, attrs)
     import os
@@ -316,7 +324,7 @@ def build_parser():
     p.add_argument("expr")
     p.add_argument("--schema", required=True,
                    help="schema file: ((name (attrs...)) ...)")
-    p.add_argument("--tag", default="T", help="tuple element tag")
+    p.add_argument("--tag", default="T", help="tuple element tag (a symbol)")
     p.add_argument("--gamma-out", default=None,
                    help="also write the type assignment here")
     _add_common(p)

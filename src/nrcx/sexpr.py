@@ -22,7 +22,8 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
+SYMBOL = re.compile(r"[^ \t\r\n();]+")
+_TOKEN = re.compile(rf"[()]|{SYMBOL.pattern}|;[^\n]*")
 
 
 def _tokens(text):
@@ -77,24 +78,25 @@ def _forms(text, toks):
 
 
 def write(expr) -> str:
-    """The text of expr.  Lists are walked with an explicit stack, so
+    """The text of expr.  Lists are walked with a stack of iterators, so
     any expression the reader accepts prints back."""
     if isinstance(expr, str):
         return expr
     parts = ["("]
-    todo = [(expr, 0)]  # (list, index of its next item)
-    while todo:
-        items, i = todo.pop()
-        if i == len(items):
-            parts.append(")")
-            continue
-        if i:
-            parts.append(" ")
-        todo.append((items, i + 1))
-        item = items[i]
-        if isinstance(item, str):
-            parts.append(item)
+    stack = []  # the iterators of the lists that enclose items
+    items = iter(expr)
+    while True:
+        for item in items:
+            if isinstance(item, str):
+                parts.append(item)
+            else:
+                parts.append("(")
+                stack.append(items)
+                items = iter(item)
+                break
         else:
-            parts.append("(")
-            todo.append((item, 0))
-    return "".join(parts)
+            parts.append(")")
+            if not stack:
+                # Exact: no symbol holds a space or a parenthesis.
+                return " ".join(parts).replace("( ", "(").replace(" )", ")")
+            items = stack.pop()

@@ -136,24 +136,17 @@ def _guard(subject, kind, body):
     return NKindCond(subject, kind, body, NProj1(NEmpty()))
 
 
-class _Fresh:
-    def __init__(self, avoid):
-        self.avoid = set(avoid)
-        self.n = 0
-
-    def __call__(self):
-        while True:
-            name = f"_t{self.n}"
-            self.n += 1
-            if name not in self.avoid:
-                return name
+def _fresh(avoid):
+    """Each call returns the next of _t0, _t1, ... that is not in avoid."""
+    return (x for x in map("_t{}".format, itertools.count())
+            if x not in avoid).__next__
 
 
 def translate_expr(e):
     """Pure PERX expression -> nested expression (the thirteen-clause
     table); rejects emptiness tests and type switches."""
     e = desugar(e)
-    fresh = _Fresh(free_vars(e))
+    fresh = _fresh(free_vars(e))
     return _tr(e, fresh)
 
 
@@ -323,7 +316,7 @@ def _or(conds):
 def normalize_relation(rel_expr, attrs, tag="T", fresh=None):
     """Wrapper turning any value of RELATION_TYPE into a relation
     encoding; the identity on values that already are one."""
-    fresh = fresh or _Fresh(free_vars(rel_expr))
+    fresh = fresh or _fresh(free_vars(rel_expr))
     t = fresh()
     xs = [fresh() for _ in attrs]
     conds = _names_cond(xs, attrs)
@@ -342,13 +335,13 @@ def compile_ra(phi, schema, tag="T"):
     fragment of set-based RX.
 
     Returns (expr, gamma): gamma assigns RELATION_TYPE to every relation
-    variable; evaluating expr on an encoded database yields the encoding
+    phi names; evaluating expr on an encoded database yields the encoding
     of the direct evaluation result (under any oracle suite).
     """
     ra_schema(phi, schema)  # validate
-    fresh = _Fresh([])
-    core = _compile(phi, schema, tag, fresh)
-    gamma = {r: RELATION_TYPE for r in sorted(free_vars(core))}
+    # No loop variable is named like a relation, so none captures one.
+    core = _compile(phi, schema, tag, _fresh(schema))
+    gamma = {r: RELATION_TYPE for r in sorted(free_vars(phi))}
     return core, gamma
 
 
@@ -445,7 +438,7 @@ def dependency_expr(dep, rel_expr, attrs, fresh=None):
     the dependency and { <A1:{}> } otherwise; an IND expression returns
     { <A1:{<A1:{}>}> } when satisfied and additionally <A1:{}> when not.
     """
-    fresh = fresh or _Fresh(free_vars(rel_expr))
+    fresh = fresh or _fresh(free_vars(rel_expr))
     a1 = attrs[0]
     if isinstance(dep, FD):
         return _fd_expr(dep, rel_expr, a1, fresh)
@@ -516,7 +509,7 @@ def build_fd_id_reduction(sigma_deps, rho, arity, attrs=None):
             if a not in attrs:
                 raise ValueError(f"dependency attribute {a!r} not in schema")
     a1 = attrs[0]
-    fresh = _Fresh([])
+    fresh = _fresh(())
     rel = normalize_relation(Var("r"), attrs, tag=a1, fresh=fresh)
     deps = [rho] + list(sigma_deps)
     tags = [Atom("@D0")] + [
@@ -557,7 +550,7 @@ def desugar_emptiness(e):
     map the tested set through a constant element constructor and ask
     whether the image is a set of data nodes (true only for the empty
     set)."""
-    fresh = _Fresh(free_vars(e))
+    fresh = _fresh(free_vars(e))
     marker = AtomLit(Atom("@e"))
 
     def rewrite(e):

@@ -5,7 +5,9 @@ bounded-cardinality predicates, atom renamings, the atoms of a value,
 an eager enumeration of a type's values and a brute-force universe of
 values that does not use type terms.  `relation_satisfies` checks a
 dependency on a relation directly, and `eval_ra` evaluates relational
-algebra directly, the oracle of the RA compiler.
+algebra directly, the oracle of the RA compiler.  `write_sexpr` is
+the s-expression writer that `sexpr.write` replaced, kept as its
+reference.
 
 For the pure-RX search: `paper_type` is the paper's translation of pure RX types.  It maps data
 to ((atom x atom) x {void}), which also holds ((a, b), {}) with a != b,
@@ -314,3 +316,26 @@ def eval_ra(phi, db, schema):
 def _realign(rows, from_attrs, to_attrs):
     idx = [from_attrs.index(a) for a in to_attrs]
     return frozenset(tuple(r[i] for i in idx) for r in rows)
+
+
+def write_sexpr(expr) -> str:
+    """The text of expr, one part at a time with an explicit stack."""
+    if isinstance(expr, str):
+        return expr
+    parts = ["("]
+    todo = [(expr, 0)]  # (list, index of its next item)
+    while todo:
+        items, i = todo.pop()
+        if i == len(items):
+            parts.append(")")
+            continue
+        if i:
+            parts.append(" ")
+        todo.append((items, i + 1))
+        item = items[i]
+        if isinstance(item, str):
+            parts.append(item)
+        else:
+            parts.append("(")
+            todo.append((item, 0))
+    return "".join(parts)

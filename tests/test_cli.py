@@ -6,6 +6,7 @@ import pytest
 from nrcx.cli import main
 from nrcx.frontend import parse, print_expr
 from nrcx.rx import eval_pure_rx, eval_rx
+from nrcx.sexpr import read
 from nrcx.translate import decode_relation, encode_db
 from nrcx.values import Atom, DataNode, env_from_json, vset
 
@@ -523,6 +524,31 @@ def test_compile_ra_malformed_schema_exit_1(tmp_path, capsys, text, message):
     assert got == (1, "", f"error: {schema}: {message}\n")
 
 
+def test_compile_ra_gamma_lists_relations_named_like_binders(tmp_path,
+                                                             capsys):
+    expr = write(tmp_path, "q.sexpr", "(product (rel R) (rel _t4))")
+    schema = write(tmp_path, "schema.sexpr", "((R (A)) (_t4 (B)))")
+    gout = tmp_path / "gamma.sexpr"
+    code, out, _ = run(capsys, "compile-ra", expr, "--schema", schema,
+                       "--gamma-out", str(gout))
+    assert code == 0
+    assert [x for x, _ in read(gout.read_text())] == ["R", "_t4"]
+    db = {"R": {("1",)}, "_t4": {("2",)}}
+    result = eval_rx(parse(out, "rx"),
+                     encode_db(db, {"R": ("A",), "_t4": ("B",)}))
+    assert decode_relation(result.value, ("A", "B")) == {("1", "2")}
+
+
+@pytest.mark.parametrize("tag", ["a b", "x)", "(", "a;b", ""])
+def test_compile_ra_tag_must_be_a_symbol(tmp_path, capsys, tag):
+    argv = ["compile-ra", write(tmp_path, "q.sexpr", "(rel R)"),
+            "--schema", write(tmp_path, "schema.sexpr", "((R (A)))")]
+    code, out, _ = run(capsys, *argv, "--tag", "Tup")
+    assert code == 0 and "(elem (lit Tup)" in out
+    got = run(capsys, *argv, "--tag", tag)
+    assert got == (1, "", f"error: --tag: {tag!r} is not a symbol\n")
+
+
 # --- reduce-deps -----------------------------------------------------------
 
 
@@ -544,6 +570,23 @@ def test_reduce_deps_requires_single_conclusion(tmp_path, capsys):
     code, _, err = run(capsys, "reduce-deps", "--rho", rho, "--arity", "2",
                        "--out-dir", str(tmp_path / "red"))
     assert code == 1 and err
+
+
+@pytest.mark.parametrize("attrs,bad", [
+    ("a(,b", "a("), ("a,b c", "b c"), ("a,)", ")"), ("a,,b", ""),
+])
+def test_reduce_deps_attrs_must_be_symbols(tmp_path, capsys, attrs, bad):
+    rho = write(tmp_path, "rho.sexpr", "(fd (b) (b))")
+    outdir = tmp_path / "red"
+    arity = str(attrs.count(",") + 1)
+    got = run(capsys, "reduce-deps", "--rho", rho, "--arity", arity,
+              "--attrs", attrs, "--out-dir", str(outdir))
+    assert got == (1, "", f"error: --attrs: {bad!r} is not a symbol\n")
+    assert not outdir.exists()
+    code, _, _ = run(capsys, "reduce-deps", "--rho", rho, "--arity", "2",
+                     "--attrs", "a,b", "--out-dir", str(outdir))
+    assert code == 0
+    parse((outdir / "e1.sexpr").read_text(), "rx")
 
 
 # --- determinism -----------------------------------------------------------

@@ -18,6 +18,8 @@ from nrcx.typeterms import (AtomT, CollT, DataT, ElemT, KAtom, KElem, KSum,
                             KIND_ANY, ProdT, SingleT, SumT, VoidT)
 from nrcx.values import Atom, vset
 
+from oracles import write_sexpr
+
 
 # --- s-expressions ---------------------------------------------------------
 
@@ -110,6 +112,34 @@ _SYMBOLS = st.text(st.characters(blacklist_characters=" \t\r\n();"),
                     max_leaves=30))
 def test_sexpr_read_write_round_trip(x):
     assert sexpr.read(sexpr.write(x)) == x
+
+
+def _random_sexpr(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return "".join(rng.choice("ab_@-.\"'\\\fé\xa0") for _ in
+                       range(rng.randint(1, 3)))
+    return [_random_sexpr(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+
+
+def test_sexpr_write_matches_reference_writer():
+    """The same bytes as the part-at-a-time writer on every nested list
+    of reader tokens, and the text reads back."""
+    rng = random.Random(14)
+    cases = [[], [[]], [[], []], ["a", []], [[[]], "b"]]
+    cases += [_random_sexpr(rng, 6) for _ in range(3000)]
+    for x in cases:
+        text = sexpr.write(x)
+        assert text == write_sexpr(x), x
+        assert sexpr.read(text) == x
+
+
+def test_sexpr_writes_any_depth():
+    depth = 100_000
+    for leaf, inner in (("a", "a"), ([], "()")):
+        x = leaf
+        for _ in range(depth):
+            x = [x]
+        assert sexpr.write(x) == "(" * depth + inner + ")" * depth
 
 
 # --- types and kinds -------------------------------------------------------

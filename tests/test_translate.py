@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
+import nrcx.frontend
+import nrcx.translate
 from nrcx.frontend import (Diff, FD, IND, Product, Project, RaUnion,
-                           Relation, Rename, Select, Var, free_vars, parse,
-                           print_type)
+                           Relation, Rename, Select, Var, _children,
+                           free_vars, parse, print_type)
 from nrcx.penrc import eval_penrc
 from nrcx.rx import ALT_ORACLES, DEFAULT_ORACLES, eval_pure_rx, eval_rx
 from nrcx.translate import (NotAnEncodingError, NotInImageError,
@@ -272,6 +274,49 @@ def test_compile_ra_matches_reference_under_both_oracles():
             out = eval_rx(expr, encode_db(DB, SCHEMA), oracles)
             assert out.is_defined, (q, out)
             assert decode_relation(out.value, attrs) == expect, (q, oracles)
+
+
+# Relations named like the compiler's loop variables (_t0, _t1, ...).
+BINDER_SCHEMA = {"R": ("A",), "_t4": ("B",), "_t6": ("B",)}
+BINDER_DB = {"R": {("1",), ("3",)}, "_t4": {("2",), ("3",)},
+             "_t6": {("2",), ("3",)}}
+
+
+@pytest.mark.parametrize("q", [
+    Product(Relation("R"), Relation("_t4")),
+    Diff(Relation("R"), Rename("B", "A", Relation("_t6"))),
+])
+def test_compile_ra_loop_variables_avoid_relation_names(q):
+    expr, gamma = compile_ra(q, BINDER_SCHEMA)
+    assert sorted(gamma) == sorted(free_vars(q))
+    out = eval_rx(expr, encode_db(BINDER_DB, BINDER_SCHEMA))
+    assert out.is_defined
+    assert decode_relation(out.value, ra_schema(q, BINDER_SCHEMA)) == \
+        eval_ra(q, BINDER_DB, BINDER_SCHEMA)
+
+
+def _nodes(e):
+    return 1 + sum(map(_nodes, _children(e)))
+
+
+def test_compile_ra_does_not_walk_its_output(monkeypatch):
+    """gamma comes from the relations phi names: compile_ra calls
+    free_vars at most once per node of phi (15 here), not once per node
+    of the compiled expression (167).  phi is the last and largest
+    query of _ra_exprs(3), built without enumerating the other 119,547."""
+    from test_acceptance import RA_SCHEMA, _ra_exprs
+    calls = 0
+
+    def counted(*args, _f=nrcx.frontend.free_vars):
+        nonlocal calls
+        calls += 1
+        return _f(*args)
+    monkeypatch.setattr(nrcx.frontend, "free_vars", counted)
+    monkeypatch.setattr(nrcx.translate, "free_vars", counted)
+    deepest = _ra_exprs(2)[-1]
+    phi = Diff(deepest, deepest)
+    compile_ra(phi, RA_SCHEMA)
+    assert calls <= _nodes(phi)
 
 
 def test_normalization_identity_on_encodings():
