@@ -344,18 +344,21 @@ def _children(e):
 
 def map_children(e, f):
     """e rebuilt from its row with f applied to each direct
-    subexpression, in field order (see _children)."""
+    subexpression, in field order (see _children); e itself when f
+    returns every subexpression unchanged."""
     form = _BY_CLASS.get(type(e))
     if form is not None:
         values = []
+        changed = False
         for name, shape in form.args:
-            v = getattr(e, name)
+            old = v = getattr(e, name)
             if shape is EXPR:
                 v = f(v)
             elif shape.map is not None:
                 v = shape.map(v, f)
+            changed = changed or v is not old
             values.append(v)
-        return form.cls(*values)
+        return form.cls(*values) if changed else e
     if isinstance(e, (Var, NVar)):
         return e
     raise TypeError(f"not an expression: {e!r}")
@@ -384,7 +387,8 @@ def literals(e, memo=None) -> frozenset:
 
 def desugar(e):
     """Unroll MultiFor into nested For and boolean conditions into
-    nested IfEq with shared branches; identity on core constructors."""
+    nested IfEq with shared branches; identity on core constructors,
+    whose subtrees are shared, not copied."""
     if isinstance(e, MultiFor):
         body = desugar(e.body)
         for var, src in reversed(e.bindings):

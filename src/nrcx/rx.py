@@ -33,7 +33,13 @@ the closures):
   later one may be undefined where an earlier one is false.
 * Loop-invariant sources.  A source that is not a variable, and names
   no variable of the enclosing loops from some loop L inward, is
-  evaluated once per run of L, at its first use.
+  evaluated once per run of L, at its first use.  L is the loop just
+  inside the innermost binder that the source's closure reads, which
+  the compiler records as it builds the closure (``Compiler.reads``),
+  so the source is not walked again.  Guard pushdown still tests the
+  names of the guard's operands and of the sources it moves
+  (``frontend.free_vars``), since the chain's variables are not bound
+  where they are compiled.
 
 Both are exact because every form is pure and deterministic.  The
 evaluations made, up to the first that fails, are those of the original
@@ -124,38 +130,62 @@ class Compiler:
     (desugaring shares the branches of ``cond``, the translation its
     operands) is compiled once per scope.  ``context`` is what the
     builders of a calculus need besides the expression (the oracles of
-    set-based RX).  ``loops`` is kept by the builders that move work
-    out of loops (the set-based RX ``for``): the loops around the
-    expression being compiled, outermost first, each as (variable, the
-    slots to clear when the loop starts a run).
+    set-based RX).
+
+    While it builds a closure, the compiler records which enclosing
+    binders the subexpression reads (``reads``), bottom up: a variable
+    reads its binder, a node reads what its subexpressions read, and a
+    binding drops its own binder from what its body reads.  The binders
+    in scope are numbered by depth, the outermost 0, and a set of them
+    is a bitmask.  ``loops`` is kept by the builders that move work out
+    of loops (the set-based RX ``for``, whose every binder is a loop):
+    one frame per enclosing binder, outermost first, each the list of
+    slots to clear when that loop starts a run.
     """
 
     def __init__(self, builders, what, context=None):
         self.builders = builders
         self.what = what
         self.context = context
+        # The binders in scope: name -> (slot, the bit of its depth).
         self.scope = {}
         self.free = {}
         self.n_slots = 0
         self.loops = []
-        # The closures compiled in the current scope, by id of the AST
-        # node (the caller holds the whole tree, so ids stay unique).
+        self._depth = 0
+        # The binders read by the closures built since the innermost
+        # open expr() call began.
+        self._reads = 0
+        # The closures compiled in the current scope and the binders
+        # they read, by id of the AST node (the caller holds the whole
+        # tree, so ids stay unique).
         self._memo = {}
-        # The free variables of every node, by id (frontend.free_vars).
+        # The free variables of the nodes that _movable tests, by id
+        # (frontend.free_vars).
         self._free_vars = {}
 
     def expr(self, e):
-        f = self._memo.get(id(e))
-        if f is None:
+        hit = self._memo.get(id(e))
+        if hit is None:
             build = self.builders.get(type(e))
             if build is None:
                 raise TypeError(f"not {self.what}: {e!r}")
-            f = self._memo[id(e)] = build(self, e)
-        return f
+            outer, self._reads = self._reads, 0
+            hit = self._memo[id(e)] = (build(self, e), self._reads)
+            self._reads = outer
+        self._reads |= hit[1]
+        return hit[0]
+
+    def reads(self, e):
+        """The binders that the closure of e, compiled in this scope,
+        reads: bit d stands for the binder at depth d."""
+        return self._memo[id(e)][1]
 
     def var(self, name):
-        slot = self.scope.get(name)
-        if slot is not None:
+        bound = self.scope.get(name)
+        if bound is not None:
+            slot, bit = bound
+            self._reads |= bit
             return lambda r: r[slot]
         slot = self.free.get(name)
         if slot is None:
@@ -175,12 +205,14 @@ class Compiler:
         """The slot of a new binding of var, and the closure of body
         under it, built by build(body) (by default, self.expr)."""
         slot = self._slot()
-        outer, memo = self.scope, self._memo
-        self.scope, self._memo = {**outer, var: slot}, {}
+        outer, memo, depth = self.scope, self._memo, self._depth
+        self.scope = {**outer, var: (slot, 1 << depth)}
+        self._memo, self._depth = {}, depth + 1
         try:
             return slot, (build or self.expr)(body)
         finally:
-            self.scope, self._memo = outer, memo
+            self.scope, self._memo, self._depth = outer, memo, depth
+            self._reads &= ~(1 << depth)
 
     def _slot(self):
         self.n_slots += 1
@@ -298,8 +330,11 @@ def rx_name(v: VSet, o: OracleSuite, at=None) -> VSet:
 
 
 def rx_children(v: VSet, at=None) -> VSet:
+    elems = v.elems
+    if len(elems) == 1 and isinstance(elems[0], ElemNode):
+        return elems[0].children
     out = []
-    for i in v.elems:
+    for i in elems:
         if isinstance(i, Atom):
             raise _Undef(CHILDREN_SAW_ATOM, at)
         if isinstance(i, ElemNode):
@@ -384,15 +419,12 @@ def _elements(c, f):
                 if isinstance(i, classes) and (exact or kind_member(i, kind))]
     if isinstance(f.source, Var):
         return elements
-    names = c.free_vars(f.source)
-    loops = c.loops
-    level = len(loops)
-    while level and loops[level - 1][0] not in names:
-        level -= 1
-    if level == len(loops):  # it names the innermost loop's variable
+    # One past the depth of the innermost binder the source reads.
+    level = c.reads(f.source).bit_length()
+    if level == len(c.loops):  # it reads the innermost loop's variable
         return elements
     slot = c._slot()
-    loops[level][1].append(slot)
+    c.loops[level].append(slot)
 
     def once(r):
         v = r[slot]
@@ -406,13 +438,13 @@ def _loop(c, f, elements, inner, end):
     """The closure of for f over the elements that elements(r) gives.
     Its body is end inside the fors of inner, (for, slot) pairs whose
     elements are already in their slots."""
-    frame = (f.var, [])
-    c.loops.append(frame)
+    frame = []
+    c.loops.append(frame)  # the frame of the binder that c.bind adds
     try:
         slot, body = c.bind(f.var, end, lambda e: _loop_body(c, inner, e))
     finally:
         c.loops.pop()
-    clear = tuple(frame[1])
+    clear = tuple(frame)
 
     def for_(r):
         for s in clear:
@@ -468,6 +500,8 @@ def _movable(c, fors, pending, guard):
 
 def _rx_eq(c, e):
     """The test of the ifeq e: r -> whether its operands are equal."""
+    if isinstance(e.left, NameF) and isinstance(e.right, AtomLit):
+        return _name_is(c, e.left, e.right.atom)
     left, right, o = c.expr(e.left), c.expr(e.right), c.context
 
     def eq(r):
@@ -476,6 +510,21 @@ def _rx_eq(c, e):
         if len(a.elems) != 1 or len(b.elems) != 1:
             raise _Undef(EQ_NOT_SINGLETON_ATOM, e)
         return a == b
+    return eq
+
+
+def _name_is(c, e, a):
+    """The test (ifeq e (lit a) ...) of the name form e.  The name of a
+    singleton element, or the concat of nothing, is one atom, which is
+    compared with a without building the sets of rx_name and rx_data."""
+    body, o, token = c.expr(e.body), c.context, a.token
+
+    def eq(r):
+        v = body(r)
+        elems = v.elems
+        if len(elems) == 1 and isinstance(elems[0], ElemNode):
+            return elems[0].name.token == token
+        return rx_name(v, o, e).elems[0].token == token
     return eq
 
 

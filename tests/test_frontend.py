@@ -279,7 +279,19 @@ def test_desugar_and_shape():
 
 def test_desugar_identity_on_core():
     e = parse("(ifeq x y (empty) (children x))", "rx")
-    assert desugar(e) == e
+    assert desugar(e) is e
+
+
+def test_desugar_shares_core_subtrees():
+    e = parse("(seq (children x) (for y (kind-elem) x "
+              "(cond (eq y (lit a)) (name y) (empty))))", "rx")
+    got = desugar(e)
+    cond = e.right.body
+    assert got.left is e.left and got.right.source is e.right.source
+    assert got.right.body == IfEq(Var("y"), AtomLit(Atom("a")),
+                                  cond.then, cond.els)
+    assert got.right.body.then is cond.then
+    assert got.right.body.els is cond.els
 
 
 def test_desugar_agrees_with_direct_evaluation():

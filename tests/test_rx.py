@@ -1,7 +1,8 @@
 import pytest
 
 import nrcx.rx
-from nrcx.frontend import parse
+import nrcx.frontend
+from nrcx.frontend import desugar, parse, print_expr
 from nrcx.rx import (ALT_ORACLES, DEFAULT_ORACLES, ORACLE_SUITES, Defined,
                      Undefined, compile_rx, eval_pure_rx, eval_rx,
                      rx_children, rx_data, rx_name)
@@ -126,6 +127,46 @@ def test_iftype():
 def test_children_undefined_on_atom():
     out = rx("(children x)", {"x": vset(a)})
     assert not out.is_defined and out.reason == "children-saw-atom"
+
+
+NODE = ElemNode(a, vset(DataNode(b), ElemNode(c, EMPTY_SET)))
+# The one-element sets that children and a name guard read without
+# building sets, and the inputs that take the general path.  Each
+# outcome is a value or (reason, the failing form).
+FAST_PATH_CASES = [
+    ("(children x)", vset(NODE), NODE.children),
+    ("(children x)", vset(DataNode(a)), EMPTY_SET),
+    ("(children x)", vset(a), ("children-saw-atom", "(children x)")),
+    ("(children x)", vset(a, NODE), ("children-saw-atom", "(children x)")),
+    ("(ifeq (name x) (lit a) (lit t) (lit f))", vset(NODE), vset(Atom("t"))),
+    ("(ifeq (name x) (lit b) (lit t) (lit f))", vset(NODE), vset(Atom("f"))),
+    ("(ifeq (name x) (lit a) (lit t) (lit f))", vset(NODE, DataNode(a)),
+     ("name-not-singleton-elem", "(name x)")),
+    ("(ifeq (name x) (lit a) (lit t) (lit f))", vset(DataNode(a)),
+     ("name-not-singleton-elem", "(name x)")),
+    ("(ifeq (name x) (lit a) (lit t) (lit f))", EMPTY_SET, vset(Atom("f"))),
+]
+
+
+@pytest.mark.parametrize("oracles", [DEFAULT_ORACLES, ALT_ORACLES],
+                         ids=lambda o: o.name)
+@pytest.mark.parametrize("src, x, want", FAST_PATH_CASES)
+def test_children_and_name_guard_keep_values_and_failing_forms(
+        oracles, src, x, want):
+    out = rx(src, {"x": x}, oracles)
+    got = (out.value if out.is_defined
+           else (out.reason, print_expr(out.expr)))
+    assert got == want
+
+
+@pytest.mark.parametrize("oracles", [DEFAULT_ORACLES, ALT_ORACLES],
+                         ids=lambda o: o.name)
+def test_name_guard_on_empty_set_compares_concat_of_nothing(oracles):
+    nothing = oracles.concat(EMPTY_SET).token
+    for token, want in [(nothing, "t"), ("a", "f")]:
+        out = rx(f"(ifeq (name x) (lit {token}) (lit t) (lit f))",
+                 {"x": EMPTY_SET}, oracles)
+        assert out == Defined(vset(Atom(want)))
 
 
 def test_branch_not_taken_never_fails():
@@ -277,16 +318,76 @@ def test_difference_of_products_agrees_with_eval_ra(src):
 
 def test_difference_of_products_tests_names_outside_inner_loops(monkeypatch):
     """With every conjunct tested in the innermost body, each pair of
-    tuples ran it 4^8 times: 1,398,260 rx_name calls on this database.
+    tuples ran it 4^8 times: 1,398,260 name tests on this database.
     Each conjunct is now tested once per binding of its operand."""
-    calls = [0]
+    calls, name_is = [0], nrcx.rx._name_is
 
     def counted(*args):
-        calls[0] += 1
-        return rx_name(*args)
-    monkeypatch.setattr(nrcx.rx, "rx_name", counted)
+        test = name_is(*args)
+
+        def run(r):
+            calls[0] += 1
+            return test(r)
+        return run
+    monkeypatch.setattr(nrcx.rx, "_name_is", counted)
     expr, _gamma = compile_ra(parse(DIFFERENCES[0], "ra"), RA_SCHEMA)
     out = eval_rx(expr, encode_db(RA_DBS[2], RA_SCHEMA))
     assert out == Defined(EMPTY_SET)
     assert calls[0] <= 2000
 
+
+# --- compiled set-based for: the loop each source is evaluated in ---------
+
+ELEMS = vset(ElemNode(a, vset(DataNode(a))), ElemNode(b, vset(DataNode(b))))
+ATOMS = vset(a, b, c)
+
+
+@pytest.mark.parametrize("src, runs", [
+    # (children x) names only the outer loop's variable: once per x.
+    ("(for x (kind-elem) R (for y (kind-atom) S "
+     "(for z (kind-data) (children x) (seq y z))))", 2),
+    # (children T) names no loop variable: once per run of the outer loop.
+    ("(for x (kind-elem) R (for y (kind-atom) S "
+     "(for z (kind-data) (children T) (seq y z))))", 1),
+    # The inner x shadows the outer one: once per binding of the inner x,
+    # not once per outer x, nor once per y.
+    ("(for x (kind-elem) R (for x (kind-elem) T (for y (kind-atom) S "
+     "(for z (kind-data) (children x) (seq y z)))))", 4),
+])
+def test_loop_invariant_source_runs_once_per_binding_it_reads(
+        monkeypatch, src, runs):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return rx_children(*args)
+    monkeypatch.setattr(nrcx.rx, "rx_children", counted)
+    out = rx(src, {"R": ELEMS, "S": ATOMS, "T": ELEMS})
+    assert out == Defined(vset(a, b, c, DataNode(a), DataNode(b)))
+    assert calls[0] == runs
+
+
+@pytest.mark.parametrize("src, calls", [(DIFFERENCES[0], 60),
+                                        (DIFFERENCES[1], 66)])
+def test_compiling_walks_few_nodes_for_free_variables(monkeypatch, src,
+                                                      calls):
+    """The for builder takes the loop a source depends on from the
+    binders its closure reads, so only the name test of _movable walks
+    the tree for free variables: the operands of the guards and the
+    sources it would move.  Walking every loop source costs about one
+    call per node."""
+    expr, _gamma = compile_ra(parse(src, "ra"), RA_SCHEMA)
+    nodes, stack = set(), [desugar(expr)]
+    while stack:
+        e = stack.pop()
+        nodes.add(id(e))
+        stack.extend(nrcx.frontend._children(e))
+    counted, walk = [0], nrcx.frontend.free_vars
+
+    def free_vars(*args):
+        counted[0] += 1
+        return walk(*args)
+    monkeypatch.setattr(nrcx.frontend, "free_vars", free_vars)
+    monkeypatch.setattr(nrcx.rx, "free_vars", free_vars)
+    compile_rx(expr)
+    assert counted[0] == calls < len(nodes) // 3
