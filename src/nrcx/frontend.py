@@ -493,6 +493,8 @@ def print_type(t):
 
 
 def parse_kind(sx):
+    if sx == _KIND_ANY_SX:
+        return KIND_ANY
     head = _form_head(sx, "kind")
     if head in _NULLARY_KINDS and len(sx) == 1:
         return _NULLARY_KINDS[head]
@@ -515,27 +517,98 @@ def print_kind(k):
     raise TypeError(f"not a kind term: {k!r}")
 
 
+# kind-any as print_kind writes it, the commonest kind of the compiled
+# RA queries: read with one list comparison.
+_KIND_ANY_SX = print_kind(KIND_ANY)
+
+
 # ---------------------------------------------------------------------------
 # Printing.
 
 
-def to_sexpr(e):
-    if isinstance(e, (Var, NVar)):
-        return e.name
-    form = _BY_CLASS.get(type(e))
-    if form is not None:
-        out = [form.head]
-        for name, shape in form.args:
-            out.append(shape.write(getattr(e, name)))
+def print_expr(e) -> str:
+    """The text of e, written in one pass over the form table: each
+    node's text is one f-string of its head and arguments, written by
+    its row's writer (see _writer), with no s-expression built first.
+    A node shared in the tree (the pure-RX translation shares its
+    operands) is written once, and the text of a leaf (a kind, a type,
+    an atom, an attribute list) is made once per distinct leaf.  Both
+    caches last one call, while the caller holds the tree, so ids stay
+    unique."""
+    if type(e) in (FD, IND):
+        return (f"({'fd' if type(e) is FD else 'ind'} "
+                f"{_attrs_text(e.lhs)} {_attrs_text(e.rhs)})")
+    leaves = {}  # id of a leaf value -> its text
+
+    def leaf(shape, v):
+        out = leaves.get(id(v))
+        if out is None:
+            out = leaves[id(v)] = shape.write(v)
         return out
-    if isinstance(e, (FD, IND)):
-        return ["fd" if isinstance(e, FD) else "ind", list(e.lhs),
-                list(e.rhs)]
+
+    return _WRITERS[type(e)](e, {}, leaf)
+
+
+class _Writers(dict):
+    """The writer of each AST class: write(e, texts, leaf), the text of
+    e, where texts maps the id of each node written so far to its text.
+    A row's writer is compiled when a node of the row is first printed:
+    compiling all of them would add about 2 ms to the import of nrcx."""
+
+    def __missing__(self, cls):
+        form = _BY_CLASS.get(cls)
+        if form is None:
+            return _not_an_expression
+        write = self[cls] = _writer(form)
+        return write
+
+
+def _name(e, texts, leaf):
+    return e.name
+
+
+def _not_an_expression(e, texts, leaf):
     raise TypeError(f"not an expression: {e!r}")
 
 
-def print_expr(e) -> str:
-    return sexpr.write(to_sexpr(e))
+_WRITERS = _Writers({Var: _name, NVar: _name})
+
+
+def _writer(form):
+    """The writer of a row, compiled from it as record compiles
+    __init__: one f-string of the head and the arguments of a node,
+    kept in texts.  A subexpression is written by the writer of its
+    class, called directly, so printing takes one stack frame a level;
+    a leaf value by leaf(shape, v); a symbol as it is."""
+    fields = [form.head]
+    shapes = {}
+    for name, shape in form.args:
+        if shape is EXPR or shape is COND:
+            fields.append(f"{{_W[type(e.{name})](e.{name}, texts, leaf)}}")
+        elif shape is BINDINGS:
+            fields.append(f"{{_bindings_text(e.{name}, texts, leaf)}}")
+        elif shape.write is None:
+            fields.append(f"{{e.{name}}}")
+        else:
+            shapes[f"_{name}"] = shape
+            fields.append(f"{{leaf(_{name}, e.{name})}}")
+    src = ("def write(e, texts, leaf):\n"
+           " out = texts.get(id(e))\n"
+           " if out is None:\n"
+           f"  out = texts[id(e)] = f'({' '.join(fields)})'\n"
+           " return out")
+    namespace = {"_W": _WRITERS, "_bindings_text": _bindings_text, **shapes}
+    exec(src, namespace)
+    return namespace["write"]
+
+
+def _bindings_text(bindings, texts, leaf):
+    return "(%s)" % " ".join(f"({v} {_WRITERS[type(s)](s, texts, leaf)})"
+                             for v, s in bindings)
+
+
+def _attrs_text(attrs):
+    return f"({' '.join(attrs)})"
 
 
 # ---------------------------------------------------------------------------
@@ -550,16 +623,18 @@ def print_expr(e) -> str:
 class Shape:
     """How one argument of a form is read from an s-expression and
     written back, and which expressions it holds.  read(sx, sub) gets
-    sub, the builder of the row language's expressions; a shape that
-    holds expressions lists them (exprs) and is rebuilt with f applied
-    to each of them (map)."""
+    sub, the builder of the row language's expressions; write(v) is the
+    text of a leaf, None for a symbol written as it is and for a shape
+    that holds expressions, which print_expr writes itself.  A shape
+    that holds expressions lists them (exprs) and is rebuilt with f
+    applied to each of them (map)."""
     read: Callable
     write: Callable
     exprs: Callable = None
     map: Callable = None
 
 
-def _leaf(read, write=lambda v: v):
+def _leaf(read, write=None):
     """A shape that holds no expression."""
     return Shape(lambda sx, sub: read(sx), write)
 
@@ -594,19 +669,19 @@ def _read_bindings(sx, sub):
 
 # An expression of the row's language.  _build_form reads it with sub
 # and map_children applies f to it directly, without read or map.
-EXPR = Shape(None, to_sexpr, lambda e: (e,))
+EXPR = Shape(None, None, lambda e: (e,))
 VAR = _leaf(lambda sx: _symbol(sx, "a variable"))
-ATOM = _leaf(lambda sx: Atom(_symbol(sx, "an atom token")), lambda a: a.token)
+ATOM = _leaf(lambda sx: Atom(_symbol(sx, "an atom token")),
+             attrgetter("token"))
 REL = _leaf(lambda sx: _symbol(sx, "a relation name"))
 ATTR = _leaf(lambda sx: _symbol(sx, "an attribute"))
-ATTRS = _leaf(_read_attrs, list)
-KIND = _leaf(parse_kind, print_kind)
-TYPE = _leaf(parse_type, print_type)
+ATTRS = _leaf(_read_attrs, _attrs_text)
+KIND = _leaf(parse_kind, lambda k: sexpr.write(print_kind(k)))
+TYPE = _leaf(parse_type, lambda t: sexpr.write(print_type(t)))
 # A condition of cond: a row of COND_FORMS.
-COND = Shape(_read_cond, to_sexpr, _children, map_children)
+COND = Shape(_read_cond, None, _children, map_children)
 # The bindings of for*: ((var, source expression), ...).
-BINDINGS = Shape(_read_bindings,
-                 lambda bs: [[v, to_sexpr(s)] for v, s in bs],
+BINDINGS = Shape(_read_bindings, None,
                  lambda bs: tuple(s for _, s in bs),
                  lambda bs, f: tuple((v, f(s)) for v, s in bs))
 

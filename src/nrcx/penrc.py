@@ -17,7 +17,7 @@ from .frontend import (NAtomLit, NComp, NEmpty, NEmptyCond, NEqCond,
 # are those of pure RX.
 from .rx import (EQ_ON_NONATOM, Compiler, _Undef, _constant,  # noqa: F401
                  _eq_atoms, _if_empty, _unary, _var)
-from .typeterms import kind_filter, kind_member
+from .typeterms import kind_member
 from .values import EMPTY_SET, Pair, VSet, vset
 
 PROJ_ON_NONPAIR = "proj-on-nonpair"
@@ -95,7 +95,7 @@ def _comprehension(c, e):
 
 def _if_kind(c, e):
     subject, then, els = c.expr(e.subject), c.expr(e.then), c.expr(e.els)
-    classes, exact = kind_filter(e.kind)
+    classes, exact = c.kind_filter(e.kind)
     kind = e.kind
 
     def ifkind(r):

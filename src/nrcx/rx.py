@@ -163,6 +163,8 @@ class Compiler:
         # The free variables of the nodes that _movable tests, by id
         # (frontend.free_vars).
         self._free_vars = {}
+        # typeterms.kind_filter of each kind compiled, by id.
+        self._kind_filters = {}
 
     def expr(self, e):
         hit = self._memo.get(id(e))
@@ -200,6 +202,13 @@ class Compiler:
 
     def free_vars(self, e):
         return free_vars(e, self._free_vars)
+
+    def kind_filter(self, k):
+        """typeterms.kind_filter(k), worked out once per kind."""
+        out = self._kind_filters.get(id(k))
+        if out is None:
+            out = self._kind_filters[id(k)] = kind_filter(k)
+        return out
 
     def bind(self, var, body, build=None):
         """The slot of a new binding of var, and the closure of body
@@ -411,7 +420,7 @@ def _elements(c, f):
     once per run of the outermost enclosing loop inside which it names
     no loop variable, at its first use in that run."""
     src = c.expr(f.source)
-    classes, exact = kind_filter(f.kind)
+    classes, exact = c.kind_filter(f.kind)
     kind = f.kind
 
     def elements(r):
@@ -608,7 +617,7 @@ def _pure_seq(c, e):
 def _pure_for(c, e):
     src = c.expr(e.source)
     slot, body = c.bind(e.var, e.body)
-    classes, exact = kind_filter(e.kind)
+    classes, exact = c.kind_filter(e.kind)
     kind = e.kind
 
     def for_(r):

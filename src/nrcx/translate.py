@@ -258,10 +258,30 @@ class NotAnEncodingError(ValueError):
 
 
 def encode_relation(rows, attrs, tag="T") -> VSet:
-    """Each row becomes <tag: <a: v> for each attribute a and value v>."""
-    return VSet(ElemNode(Atom(tag), VSet(
-        ElemNode(Atom(a), vset(DataNode(Atom(v)))) for a, v in zip(attrs, r)))
-        for r in rows)
+    """Each row becomes <tag: <a: v> for each attribute a and value v>.
+    One call builds one atom per token and one cell <a: v> per
+    attribute and value, which the rows holding it share."""
+    atoms = {}  # token -> its atom
+    cells = {}  # (attribute, value) -> its cell
+
+    def atom(token):
+        a = atoms.get(token)
+        if a is None:
+            a = atoms[token] = Atom(token)
+        return a
+
+    out = []
+    for r in rows:
+        name = atom(tag)
+        row = []
+        for cell in zip(attrs, r):
+            node = cells.get(cell)
+            if node is None:
+                node = cells[cell] = ElemNode(atom(cell[0]),
+                                              vset(DataNode(atom(cell[1]))))
+            row.append(node)
+        out.append(ElemNode(name, VSet(row)))
+    return VSet(out)
 
 
 def decode_relation(v, attrs) -> frozenset:

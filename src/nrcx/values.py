@@ -27,6 +27,7 @@ CLI.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import attrgetter
 
 # Atom tokens starting with "@" are reserved for machinery-generated
@@ -280,28 +281,31 @@ def subvalue_env(sigma: Mapping, tau: Mapping) -> bool:
 
 
 def value_to_json(v):
+    """The JSON form of v.  Parts are dispatched on their exact class,
+    the commonest first."""
     root = []
     todo = [(v, root)]
     while todo:
         v, out = todo.pop()
-        if isinstance(v, Atom):
-            out.append({"atom": v.token})
-        elif isinstance(v, DataNode):
-            out.append({"data": v.content.token})
-        elif isinstance(v, ElemNode):
+        cls = v.__class__
+        if cls is VSet:
+            elems = []
+            out.append({"set": elems})
+            todo.extend(zip(reversed(v.elems), repeat(elems)))
+        elif cls is ElemNode:
             children = []
             out.append({"elem": {"name": v.name.token,
                                  "children": children}})
-            todo.extend((c, children) for c in reversed(v.children.elems))
-        elif isinstance(v, Pair):
+            todo.extend(zip(reversed(v.children.elems), repeat(children)))
+        elif cls is DataNode:
+            out.append({"data": v.content.token})
+        elif cls is Atom:
+            out.append({"atom": v.token})
+        elif cls is Pair:
             parts = []
             out.append({"pair": parts})
             todo.append((v.snd, parts))
             todo.append((v.fst, parts))
-        elif isinstance(v, VSet):
-            elems = []
-            out.append({"set": elems})
-            todo.extend((e, elems) for e in reversed(v.elems))
         else:
             raise TypeError(f"not a value: {v!r}")
     return root[0]

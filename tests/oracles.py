@@ -7,7 +7,10 @@ values that does not use type terms.  `relation_satisfies` checks a
 dependency on a relation directly, and `eval_ra` evaluates relational
 algebra directly, the oracle of the RA compiler.  `write_sexpr` is
 the s-expression writer that `sexpr.write` replaced, kept as its
-reference.
+reference.  `to_sexpr` is the expression printer that the one-pass
+`frontend.print_expr` replaced, and `encode_relation` the relation
+encoder that the one in `nrcx.translate` replaced: the references of
+the printed query texts and of the encoded databases.
 
 For the pure-RX search: `paper_type` is the paper's translation of pure RX types.  It maps data
 to ((atom x atom) x {void}), which also holds ((a, b), {}) with a != b,
@@ -25,13 +28,15 @@ from nrcx.decide import (PreconditionError, Verdict, _output_type,
 from nrcx.penrc import complexity, compile_penrc
 from nrcx.translate import (NotInImageError, dec, dec_env, ra_schema,
                             translate_expr)
-from nrcx.frontend import (FD, IND, Diff, Product, Project, RaUnion,
-                           Relation, Rename, Select)
+from nrcx.frontend import (ATOM, ATTRS, BINDINGS, COND, EXPR, FD, IND, KIND,
+                           TYPE, Diff, NVar, Product, Project, RaUnion,
+                           Relation, Rename, Select, Var, _BY_CLASS,
+                           print_kind, print_type)
 from nrcx.typeterms import (AtomT, CollT, DataT, ElemT, ProdT, SumT, VoidT,
                             DEFAULT_VALUE_BUDGET, EnumerationBudgetError,
                             iter_values, member, type_complexity)
 from nrcx.values import (Atom, DataNode, ElemNode, EMPTY_SET, Pair, VSet,
-                         sort_key)
+                         sort_key, vset)
 
 
 def paper_type(t):
@@ -339,3 +344,40 @@ def write_sexpr(expr) -> str:
             parts.append("(")
             todo.append((item, 0))
     return "".join(parts)
+
+
+def to_sexpr(e):
+    """The s-expression of an expression, condition or dependency, built
+    from its row of the form tables.  sexpr.write(to_sexpr(e)) is the
+    text print_expr writes."""
+    if isinstance(e, (Var, NVar)):
+        return e.name
+    form = _BY_CLASS.get(type(e))
+    if form is not None:
+        out = [form.head]
+        for name, shape in form.args:
+            v = getattr(e, name)
+            if shape in (EXPR, COND):
+                out.append(to_sexpr(v))
+            elif shape is BINDINGS:
+                out.append([[x, to_sexpr(s)] for x, s in v])
+            else:
+                out.append(_LEAF_SEXPR.get(shape, lambda v: v)(v))
+        return out
+    if isinstance(e, (FD, IND)):
+        return ["fd" if isinstance(e, FD) else "ind", list(e.lhs),
+                list(e.rhs)]
+    raise TypeError(f"not an expression: {e!r}")
+
+
+# The leaf shapes that are not symbols.
+_LEAF_SEXPR = {ATOM: lambda a: a.token, ATTRS: list, KIND: print_kind,
+               TYPE: print_type}
+
+
+def encode_relation(rows, attrs, tag="T") -> VSet:
+    """Each row becomes <tag: <a: v> for each attribute a and value v>,
+    every atom and cell built afresh."""
+    return VSet(ElemNode(Atom(tag), VSet(
+        ElemNode(Atom(a), vset(DataNode(Atom(v)))) for a, v in zip(attrs, r)))
+        for r in rows)

@@ -7,8 +7,11 @@ from nrcx.cli import main
 from nrcx.frontend import parse, print_expr
 from nrcx.rx import eval_pure_rx, eval_rx
 from nrcx.sexpr import read
-from nrcx.translate import decode_relation, encode_db
+from nrcx.sexpr import write as write_sexpr
+from nrcx.translate import decode_relation, encode_db, translate_expr
 from nrcx.values import Atom, DataNode, env_from_json, vset
+
+from oracles import to_sexpr
 
 
 def run(capsys, *argv):
@@ -344,6 +347,17 @@ def test_deep_rx_chain_prints(tmp_path, capsys):
     text = "(text " * depth + "(empty)" + ")" * depth
     got = run(capsys, "parse", write(tmp_path, "e.sexpr", text), "--lang", "rx")
     assert got == (0, text + "\n", "")
+
+
+def test_deep_translation_prints(tmp_path, capsys):
+    # The translation nests about twice as deep as the chain it reads;
+    # the printer takes one stack frame a level, so it prints it.
+    depth = 400
+    text = "(children " * depth + "x" + ")" * depth
+    code, out, err = run(capsys, "translate", write(tmp_path, "e.sexpr", text))
+    assert (code, err) == (0, "")
+    want = translate_expr(parse(text, "pure-rx"))
+    assert out == write_sexpr(to_sexpr(want)) + "\n"
 
 
 def test_deep_environment_loads_and_prints_back(tmp_path, capsys):

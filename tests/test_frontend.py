@@ -4,21 +4,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nrcx import sexpr
+from nrcx import frontend, sexpr
 from nrcx.sexpr import ParseError
-from nrcx.frontend import (AtomLit, CAnd, CEq, ChildrenF, CondIf, Elem,
-                           EmptySeq, FD, For, IND, IfEq, MultiFor, NAtomLit,
-                           NComp, NEmpty, NEmptyCond, NEqCond, NFlatten,
-                           NKindCond, NPair, NProj1, NProj2, NSing, NUnion,
-                           NVar, Project, Relation, Select, Seq, Var,
+from nrcx.frontend import (AtomLit, CAnd, CEq, CNot, COr, ChildrenF, CondIf,
+                           Elem, EmptySeq, FD, For, IND, IfEq, MultiFor,
+                           NAtomLit, NComp, NEmpty, NEmptyCond, NEqCond,
+                           NFlatten, NKindCond, NPair, NProj1, NProj2, NSing,
+                           NUnion, NVar, NameF, Project, Relation, Select,
+                           Seq, Sing, Var,
                            desugar, free_vars, literals, parse, parse_kind,
-                           parse_type, print_expr, print_kind, print_type,
-                           to_sexpr)
-from nrcx.typeterms import (AtomT, CollT, DataT, ElemT, KAtom, KElem, KSum,
-                            KIND_ANY, ProdT, SingleT, SumT, VoidT)
+                           parse_type, print_expr, print_kind, print_type)
+from nrcx.typeterms import (AtomT, CollT, DataT, ElemT, KAtom, KColl, KData,
+                            KElem, KProd, KSum, KIND_ANY, ProdT, SingleT,
+                            SumT, VoidT)
 from nrcx.values import Atom, vset
 
-from oracles import write_sexpr
+from oracles import to_sexpr, write_sexpr
 
 
 # --- s-expressions ---------------------------------------------------------
@@ -175,6 +176,56 @@ def test_parse_kind_forms():
         KSum(KAtom(), KElem())
     k = parse_kind(sexpr.read("(kind-prod (kind-atom) (kind-coll))"))
     assert parse_kind(print_kind(k)) == k
+
+
+# The printed kind-any, which parse_kind reads with one list comparison,
+# and kinds near it, which take the general path.  Each is (text, the
+# term it parses to, the text print_expr writes for it in a for).
+ANY_TEXT = "(kind-sum (kind-atom) (kind-sum (kind-data) (kind-elem)))"
+KIND_NEAR_ANY = [
+    (ANY_TEXT, KIND_ANY, ANY_TEXT),
+    ("(kind-any)", KIND_ANY, ANY_TEXT),
+    ("(kind-sum (kind-atom) (kind-data) (kind-elem))", KIND_ANY, ANY_TEXT),
+    ("(kind-sum (kind-sum (kind-data) (kind-elem)) (kind-atom))",
+     KSum(KSum(KData(), KElem()), KAtom()),
+     "(kind-sum (kind-sum (kind-data) (kind-elem)) (kind-atom))"),
+    ("(kind-sum (kind-atom) (kind-sum (kind-elem) (kind-data)))",
+     KSum(KAtom(), KSum(KElem(), KData())),
+     "(kind-sum (kind-atom) (kind-sum (kind-elem) (kind-data)))"),
+    ("(kind-sum (kind-data) (kind-sum (kind-atom) (kind-elem)))",
+     KSum(KData(), KSum(KAtom(), KElem())),
+     "(kind-sum (kind-data) (kind-sum (kind-atom) (kind-elem)))"),
+]
+
+
+@pytest.mark.parametrize("text, term, printed", KIND_NEAR_ANY)
+def test_kind_any_and_its_near_misses(text, term, printed):
+    k = parse_kind(sexpr.read(text))
+    assert k == term and type(k) is KSum
+    e = parse(f"(for x {text} R x)", "rx")
+    assert e.kind == term
+    assert print_expr(e) == f"(for x {printed} R x)" == \
+        sexpr.write(to_sexpr(e))
+
+
+def test_printed_kind_any_parses_to_the_shared_term():
+    assert parse_kind(sexpr.read(ANY_TEXT)) is KIND_ANY
+    e = parse(f"(for x {ANY_TEXT} R (for y {ANY_TEXT} x y))", "rx")
+    assert e.kind is e.body.kind is KIND_ANY
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(kind-sum (kind-atom) (kind-sum (kind-data)))",
+     "malformed kind form '(kind-sum (kind-data))'"),
+    ("(kind-sum (kind-atom) (kind-sum (kind-data) (kind-elem)) x)",
+     "expected a kind, got symbol 'x'"),
+    ("(kind-sum (kind-atom) (kind-sum (kind-data) (kind-elem ())))",
+     "malformed kind form '(kind-elem ())'"),
+])
+def test_malformed_sums_near_kind_any_rejected(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_kind(sexpr.read(text))
+    assert str(err.value) == message
 
 
 def test_malformed_types_rejected():
@@ -381,9 +432,125 @@ def test_random_ast_round_trip():
         assert parse(print_expr(ast), "penrc") == ast
 
 
-def test_to_sexpr_rejects_non_expressions():
-    with pytest.raises(TypeError):
-        to_sexpr(42)
+# Sample arguments of each shape of the form tables, by language of the
+# row's expressions.
+_COND_SAMPLES = [
+    CEq(Var("x"), AtomLit(Atom("a"))),
+    CAnd(CEq(Var("x"), Var("y")), CNot(CEq(Var("y"), AtomLit(Atom("b"))))),
+    COr(CAnd(CEq(Var("x"), Var("y")), CEq(Var("y"), Var("z"))),
+        CNot(COr(CEq(Var("z"), Var("x")), CEq(Var("x"), Var("x"))))),
+]
+_LEAF_SAMPLES = {
+    frontend.VAR: ["x", "y2", "t"],
+    frontend.ATOM: [Atom("a"), Atom("@t"), Atom("a")],
+    frontend.REL: ["R", "S", "R"],
+    frontend.ATTR: ["A", "B", "A"],
+    frontend.ATTRS: [(), ("A",), ("A", "B")],
+    frontend.KIND: [KIND_ANY, KAtom(), KProd(KSum(KData(), KElem()), KColl())],
+    frontend.TYPE: [ElemT(VoidT()), CollT(SumT(DataT(), ElemT(VoidT()))),
+                    ProdT(SingleT(AtomT()), ElemT(CollT(DataT())))],
+    frontend.COND: _COND_SAMPLES,
+    frontend.BINDINGS: [(), (("x", Var("R")),),
+                        (("x", Var("R")), ("y", ChildrenF(Var("x"))))],
+}
+_EXPR_SAMPLES = {
+    "rx": [Var("x"), EmptySeq(), ChildrenF(NameF(Var("y")))],
+    "pure-rx": [Var("x"), EmptySeq(), Sing(Var("y"))],
+    "penrc": [NVar("x"), NEmpty(), NSing(NPair(NVar("x"), NVar("y")))],
+    "ra": [Relation("R"), Project((), Relation("S")),
+           Select("A", "B", Relation("R"))],
+}
+_TABLES = [(frontend.RX_FORMS, "rx"), (frontend.COND_FORMS, "rx"),
+           (frontend.PENRC_FORMS, "penrc"), (frontend.RA_FORMS, "ra")]
+
+
+def _row_samples():
+    """Three nodes of every row of every form table, with the language
+    that reads them (None for a condition, which is read inside cond)."""
+    for table, lang in _TABLES:
+        for head, cls, *shapes in table:
+            row_lang = "pure-rx" if head == "sing" and lang == "rx" else lang
+            for i in range(3):
+                args = [_EXPR_SAMPLES[row_lang][i] if shape is frontend.EXPR
+                        else _LEAF_SAMPLES[shape][i] for shape in shapes]
+                yield (None if table is frontend.COND_FORMS else row_lang,
+                       cls(*args))
+
+
+def test_printer_matches_reference_on_every_row():
+    rows = set()
+    for lang, e in _row_samples():
+        rows.add(type(e))
+        text = print_expr(e)
+        assert text == sexpr.write(to_sexpr(e)), e
+        if lang is not None:
+            assert parse(text, lang) == e, text
+    assert len(rows) == len(frontend._BY_CLASS)
+
+
+def test_printer_writes_dependencies_as_reference():
+    for dep, text in [(FD(("A",), ("B", "C")), "(fd (A) (B C))"),
+                      (IND(("A", "B"), ("C", "D")), "(ind (A B) (C D))"),
+                      (FD((), ()), "(fd () ())")]:
+        assert print_expr(dep) == text == sexpr.write(to_sexpr(dep))
+        assert parse(text, "deps") == dep
+
+
+def test_printer_writes_each_shared_node_once(monkeypatch):
+    """The pure-RX translation shares subtrees: each distinct node is
+    written once per call, and the text is the reference's."""
+    from nrcx.translate import translate_expr
+    e = translate_expr(parse(
+        "(for x (kind-any) (children y) (ifeq (name x) (lit a) "
+        "(sing (elem (lit b) (children x))) (sing x)))", "pure-rx"))
+    for _ in range(4):
+        e = NUnion(e, NPair(e, NSing(e)))
+    nodes, stack = {}, [e]  # id -> node, every distinct node once
+    while stack:
+        n = stack.pop()
+        if id(n) not in nodes:
+            nodes[id(n)] = n
+            stack.extend(frontend._children(n))
+    sizes = {}  # id -> the number of nodes of the subtree, as a tree
+
+    def size(n):
+        if id(n) not in sizes:
+            sizes[id(n)] = 1 + sum(map(size, frontend._children(n)))
+        return sizes[id(n)]
+    assert size(e) > 50 * len(nodes)
+    calls = []  # the id of the node of each call of a row's writer
+
+    def counted(write):
+        def write_counted(e, texts, leaf):
+            calls.append(id(e))
+            return write(e, texts, leaf)
+        return write_counted
+    for cls, form in frontend._BY_CLASS.items():
+        monkeypatch.setitem(frontend._WRITERS, cls,
+                            counted(frontend._writer(form)))
+    text = print_expr(e)
+    # Each distinct node's text is built once, so its writer is called
+    # once per edge from a distinct parent (and once for the root).
+    compound = [n for n in nodes.values() if type(n) not in (Var, NVar)]
+    assert sorted(set(calls)) == sorted(map(id, compound))
+    assert len(calls) == 1 + sum(type(c) not in (Var, NVar) for n in compound
+                                 for c in frontend._children(n))
+    assert text == sexpr.write(to_sexpr(e))
+
+
+def test_printer_writes_a_deep_chain():
+    text = "(text " * 400 + "(empty)" + ")" * 400
+    e = parse(text, "rx")
+    assert print_expr(e) == text == sexpr.write(to_sexpr(e))
+
+
+def test_print_expr_rejects_non_expressions():
+    for bad in (42, For("x", KIND_ANY, Var("R"), 42),
+                MultiFor((("x", 42),), KIND_ANY, Var("x"))):
+        with pytest.raises(TypeError, match="not an expression: 42"):
+            print_expr(bad)
+        with pytest.raises(TypeError, match="not an expression: 42"):
+            to_sexpr(bad)
 
 
 # --- error messages and compiled-RA round trips ----------------------------

@@ -391,3 +391,40 @@ def test_compiling_walks_few_nodes_for_free_variables(monkeypatch, src,
     monkeypatch.setattr(nrcx.rx, "free_vars", free_vars)
     compile_rx(expr)
     assert counted[0] == calls < len(nodes) // 3
+
+
+@pytest.mark.parametrize("lang, src, kinds", [
+    # A compiled RA query puts kind-any on every for, and reads back the
+    # one shared term from its printed text.
+    ("rx", DIFFERENCES[0], 1),
+    ("rx", "(for x (kind-elem) R (for y (kind-any) (children x) "
+           "(for z (kind-elem) S (seq y z))))", 2),
+    ("pure-rx", "(for x (kind-elem) R (for y (kind-data) (children x) "
+                "(for z (kind-elem) S (sing y))))", 2),
+    ("penrc", "(for x R (ifkind x (kind-atom) (sing x) "
+              "(ifkind x (kind-any) (empty) (empty))))", 2),
+])
+def test_kind_filter_worked_out_once_per_kind(monkeypatch, lang, src, kinds):
+    """The compiler works out each kind's filter once per compile, not
+    once per loop or kind test."""
+    from nrcx.penrc import compile_penrc
+    from nrcx.rx import compile_pure_rx
+    if src.startswith("(diff"):
+        compiled, _gamma = compile_ra(parse(src, "ra"), RA_SCHEMA)
+        exprs = [compiled, parse(print_expr(compiled), "rx")]
+    else:
+        exprs = [parse(src, lang)]
+    compile_ = {"rx": compile_rx, "pure-rx": compile_pure_rx,
+                "penrc": compile_penrc}[lang]
+    calls, walk = [], nrcx.rx.kind_filter
+
+    def kind_filter(k):
+        calls.append(k)
+        return walk(k)
+    monkeypatch.setattr(nrcx.rx, "kind_filter", kind_filter)
+    for expr in exprs:
+        calls.clear()
+        compile_(expr)
+        compile_(expr)
+        assert len(calls) == 2 * kinds
+        assert len(set(map(id, calls))) == kinds

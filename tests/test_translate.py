@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -6,7 +7,7 @@ import nrcx.frontend
 import nrcx.translate
 from nrcx.frontend import (Diff, FD, IND, Product, Project, RaUnion,
                            Relation, Rename, Select, Var, _children,
-                           free_vars, parse, print_type)
+                           free_vars, parse, print_expr, print_type)
 from nrcx.penrc import eval_penrc
 from nrcx.rx import ALT_ORACLES, DEFAULT_ORACLES, eval_pure_rx, eval_rx
 from nrcx.translate import (NotAnEncodingError, NotInImageError,
@@ -21,8 +22,9 @@ from nrcx.typeterms import (AtomT, CollT, DataEncT, DataT, ElemT, KAtom,
                             count_values_upper, is_nrc_type, kind_member, member, rank,
                             type_complexity)
 from nrcx.values import (Atom, DataNode, ElemNode, Pair, VSet, vset,
-                         EMPTY_SET)
+                         EMPTY_SET, value_to_json)
 
+import oracles
 from oracles import (decodes, enumerate_values, eval_ra,
                      relation_satisfies)
 
@@ -257,6 +259,41 @@ def test_encode_shape():
                                               vset(DataNode(a))))))
 
 
+@pytest.mark.parametrize("rows, attrs", [
+    (set(), ("A",)),
+    ([], ("A", "B")),
+    # duplicate rows
+    ([("a", "b"), ("a", "b"), ("b", "a"), ("a", "b")], ("A", "B")),
+    # values repeated across rows and attributes, and a value that is
+    # also an attribute name and the tag
+    ([("a", "a", "T"), ("a", "b", "A"), ("b", "a", "a"), ("T", "T", "T")],
+     ("A", "B", "C")),
+    ([("x",)], ()),
+])
+def test_encode_relation_matches_reference(rows, attrs):
+    got = encode_relation(rows, attrs)
+    want = oracles.encode_relation(rows, attrs)
+    assert got == want and hash(got) == hash(want)
+    assert json.dumps(value_to_json(got)) == json.dumps(value_to_json(want))
+    if attrs:
+        assert decode_relation(got, attrs) == frozenset(rows)
+
+
+def test_encode_relation_builds_each_atom_and_cell_once():
+    got = encode_relation([("a", "b"), ("a", "c"), ("c", "a")], ("A", "B"))
+    cells = {}
+    for row in got:
+        for cell in row.children:
+            key = (cell.name.token, cell.children.elems[0].content.token)
+            assert cells.setdefault(key, cell) is cell
+    assert len(cells) == 5
+    atoms = {}
+    for row in got:
+        for x in [row.name] + [c.name for c in row.children] + [
+                c.children.elems[0].content for c in row.children]:
+            assert atoms.setdefault(x.token, x) is x
+
+
 def test_decode_rejects_non_encodings():
     with pytest.raises(NotAnEncodingError):
         decode_relation(vset(a), ("A",))
@@ -440,10 +477,9 @@ def test_desugar_emptiness_identity_without_tests():
 
 
 def test_desugar_emptiness_removes_all_tests():
-    from nrcx.frontend import IfEmpty, to_sexpr
     e = parse("(ifempty x y (ifempty z y x))", "rx")
     d = desugar_emptiness(e)
-    assert "ifempty" not in __import__("nrcx").sexpr.write(to_sexpr(d))
+    assert "ifempty" not in print_expr(d)
 
 
 def test_desugar_emptiness_agreement():

@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 
 from nrcx.values import (Atom, DataNode, ElemNode, Pair, VSet, vset,
@@ -195,6 +198,44 @@ def test_json_sets_serialized_canonically():
 def test_env_json_round_trip():
     sigma = {"x": vset(a), "y": Pair(a, b)}
     assert env_from_json(env_to_json(sigma)) == sigma
+
+
+def test_json_prints_values_deeper_than_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 500
+    v, node = EMPTY_SET, ElemNode(c, EMPTY_SET)
+    for i in range(depth):
+        v = vset(v, a) if i % 2 else Pair(a, v)
+        node = ElemNode(b, vset(DataNode(c), node))
+    v = vset(v, node)
+    obj = value_to_json(v)
+    # Walk the JSON and the value together, with a stack.
+    todo, seen = [(v, obj)], 0
+    while todo:
+        v, obj = todo.pop()
+        seen += 1
+        if isinstance(v, Atom):
+            assert obj == {"atom": v.token}
+        elif isinstance(v, DataNode):
+            assert obj == {"data": v.content.token}
+        elif isinstance(v, ElemNode):
+            assert obj["elem"]["name"] == v.name.token
+            kids = obj["elem"]["children"]
+            assert len(kids) == len(v.children)
+            todo.extend(zip(v.children, kids))
+        elif isinstance(v, Pair):
+            assert len(obj["pair"]) == 2
+            todo.extend(zip((v.fst, v.snd), obj["pair"]))
+        else:
+            assert len(obj["set"]) == len(v)
+            todo.extend(zip(v, obj["set"]))
+    assert seen > 4 * depth
+
+
+@pytest.mark.parametrize("bad", [42, None, "a", (a,), {"atom": "a"}])
+def test_json_rejects_non_values(bad):
+    message = f"not a value: {re.escape(repr(bad))}$"
+    with pytest.raises(TypeError, match=message):
+        value_to_json(bad)
 
 
 def test_json_rejects_garbage():
