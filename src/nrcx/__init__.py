@@ -31,7 +31,6 @@ from .translate import (enc, dec, NotInImageError, translate_type,
 from .decide import (Verdict, well_defined_penrc, typecheck_penrc,
                      satisfiable_penrc, well_defined_pure_rx,
                      typecheck_pure_rx, satisfiable_pure_rx,
-                     brute_force_verdict,
                      BudgetExceededError, NonPenrcError, PreconditionError)
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ diagnostics go to stderr.  Exit codes are a stable contract:
 * 1 usage, parse, or precondition error
 * 3 ``eval``: the expression is undefined on the given environment
 * 4 ``check``: the property fails (counterexample printed)
-* 5 ``check``: the search budget was exceeded
+* 5 ``check``: the search budget was exceeded; ``translate``: the
+  translation is longer than ``MAX_TRANSLATION_CHARS`` characters
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .decide import (satisfiable_penrc, typecheck_penrc,  # noqa: F401
                      typecheck_pure_rx, well_defined_penrc,
                      well_defined_pure_rx)
 from .frontend import (_build_dep, free_vars, parse, parse_type, print_expr,
-                       print_type)
+                       print_type, printed_length)
 from .rx import ORACLE_SUITES, eval_pure_rx, eval_rx
 from .penrc import eval_penrc
 from .translate import (NotPurePerxError, SchemaError, build_fd_id_reduction,
@@ -39,6 +40,10 @@ EXIT_USAGE = 1
 EXIT_UNDEFINED = 3
 EXIT_FAILS = 4
 EXIT_BUDGET = 5
+
+# The most characters `nrcx translate` writes.  The translation shares
+# subtrees, and its text about doubles with each nested (sing ...).
+MAX_TRANSLATION_CHARS = 1 << 25
 
 
 class CliError(Exception):
@@ -229,8 +234,13 @@ def _check_type_domain(t, what, lang):
 
 
 def cmd_translate(args):
-    e = _load_expr(args.expr, "pure-rx")
-    _write_out(print_expr(translate_expr(e)), args.out)
+    e = translate_expr(_load_expr(args.expr, "pure-rx"))
+    n = printed_length(e)
+    if n > MAX_TRANSLATION_CHARS:
+        raise BudgetExceededError(
+            f"the translation is {n} characters long, over the limit of "
+            f"{MAX_TRANSLATION_CHARS}")
+    _write_out(print_expr(e), args.out)
     return EXIT_OK
 
 

@@ -366,25 +366,3 @@ def typecheck_pure_rx(e, gamma, tau, **options):
 
 def satisfiable_pure_rx(e, gamma, **options):
     return decide(e, gamma, "sat", lang="pure-rx", **options)
-
-
-# ---------------------------------------------------------------------------
-# Independent oracle with caller-chosen bounds.
-
-
-def brute_force_verdict(e, gamma, mode, card, n_atoms, *, tau=None,
-                        **options):
-    """`decide` on the nested calculus with caller-supplied bounds
-    instead of the derived ones: sets of cardinality <= card over an
-    alphabet of n_atoms atoms (the literals of e, padded with fresh atoms
-    up to n_atoms).  Used to confirm empirically that the derived bounds
-    lose no counterexamples.
-    """
-    tau = _output_type(mode, tau)
-    require_penrc(e)
-    _check_gamma(e, gamma)
-    lits = sorted(literals(e), key=sort_key)
-    fresh = [a for a in fresh_atoms(max(0, n_atoms))
-             if a not in set(lits)][:max(0, n_atoms - len(lits))]
-    return _search(e, gamma, mode, tau, card, lits + fresh, fresh, False,
-                   options)

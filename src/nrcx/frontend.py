@@ -611,6 +611,46 @@ def _attrs_text(attrs):
     return f"({' '.join(attrs)})"
 
 
+def printed_length(e) -> int:
+    """len(print_expr(e)), counted without writing the text.  Each
+    distinct node is counted once, by id, so the count is linear in the
+    nodes of a shared tree whose text grows exponentially with its depth
+    (the pure-RX translation of nested ``(sing …)``).  It takes one
+    stack frame a level, as the printer does."""
+    if type(e) in (FD, IND):
+        return len(print_expr(e))
+    lengths = {}  # id of a node or leaf value -> the length of its text
+
+    def length(e):
+        n = lengths.get(id(e))
+        if n is not None:
+            return n
+        if type(e) in (Var, NVar):
+            n = len(e.name)
+        else:
+            form = _BY_CLASS.get(type(e))
+            if form is None:
+                raise TypeError(f"not an expression: {e!r}")
+            n = 2 + len(form.head) + len(form.args)  # parens, head, spaces
+            for name, shape in form.args:
+                v = getattr(e, name)
+                if shape is EXPR or shape is COND:
+                    n += length(v)
+                elif shape is BINDINGS:
+                    n += 1 + max(len(v), 1) + sum(len(x) + 3 + length(s)
+                                                  for x, s in v)
+                elif shape.write is None:
+                    n += len(f"{v}")
+                else:
+                    if id(v) not in lengths:
+                        lengths[id(v)] = len(shape.write(v))
+                    n += lengths[id(v)]
+        lengths[id(e)] = n
+        return n
+
+    return length(e)
+
+
 # ---------------------------------------------------------------------------
 # The form tables.  Each regular form of rx/pure-rx, penrc and ra, and
 # each condition of cond, is one row: its head symbol, its AST class and

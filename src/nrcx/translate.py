@@ -79,10 +79,6 @@ def dec(v):
     raise TypeError(f"not a nested value: {v!r}")
 
 
-def enc_env(sigma):
-    return {x: enc(v) for x, v in sigma.items()}
-
-
 def dec_env(sigma):
     return {x: dec(v) for x, v in sigma.items()}
 

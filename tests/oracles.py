@@ -12,6 +12,10 @@ reference.  `to_sexpr` is the expression printer that the one-pass
 encoder that the one in `nrcx.translate` replaced: the references of
 the printed query texts and of the encoded databases.
 
+`brute_force_verdict` runs the search of `decide` with bounds the
+caller chooses, the oracle that confirms the derived bounds, and
+`enc_env` encodes every binding of a pure environment.
+
 For the pure-RX search: `paper_type` is the paper's translation of pure RX types.  It maps data
 to ((atom x atom) x {void}), which also holds ((a, b), {}) with a != b,
 off the image of the value encoding.  `encoded_decide` is the route
@@ -23,20 +27,43 @@ that `dec_env` rejects.
 import itertools
 from typing import Callable, Mapping
 
-from nrcx.decide import (PreconditionError, Verdict, _output_type,
-                         atom_supply, fresh_atoms, search_counterexample)
+from nrcx.decide import (PreconditionError, Verdict, _check_gamma,
+                         _output_type, _search, atom_supply, fresh_atoms,
+                         require_penrc, search_counterexample)
 from nrcx.penrc import complexity, compile_penrc
-from nrcx.translate import (NotInImageError, dec, dec_env, ra_schema,
+from nrcx.translate import (NotInImageError, dec, dec_env, enc, ra_schema,
                             translate_expr)
 from nrcx.frontend import (ATOM, ATTRS, BINDINGS, COND, EXPR, FD, IND, KIND,
                            TYPE, Diff, NVar, Product, Project, RaUnion,
                            Relation, Rename, Select, Var, _BY_CLASS,
-                           print_kind, print_type)
+                           literals, print_kind, print_type)
 from nrcx.typeterms import (AtomT, CollT, DataT, ElemT, ProdT, SumT, VoidT,
                             DEFAULT_VALUE_BUDGET, EnumerationBudgetError,
                             iter_values, member, type_complexity)
 from nrcx.values import (Atom, DataNode, ElemNode, EMPTY_SET, Pair, VSet,
                          sort_key, vset)
+
+
+def brute_force_verdict(e, gamma, mode, card, n_atoms, *, tau=None,
+                        **options):
+    """`decide` on the nested calculus with caller-supplied bounds
+    instead of the derived ones: sets of cardinality <= card over an
+    alphabet of n_atoms atoms (the literals of e, padded with fresh atoms
+    up to n_atoms).  Used to confirm empirically that the derived bounds
+    lose no counterexamples.
+    """
+    tau = _output_type(mode, tau)
+    require_penrc(e)
+    _check_gamma(e, gamma)
+    lits = sorted(literals(e), key=sort_key)
+    fresh = [a for a in fresh_atoms(max(0, n_atoms))
+             if a not in set(lits)][:max(0, n_atoms - len(lits))]
+    return _search(e, gamma, mode, tau, card, lits + fresh, fresh, False,
+                   options)
+
+
+def enc_env(sigma):
+    return {x: enc(v) for x, v in sigma.items()}
 
 
 def paper_type(t):

@@ -22,8 +22,8 @@ import pytest
 
 import nrcx
 from nrcx.decide import (BudgetExceededError, atom_supply,
-                         brute_force_verdict, satisfiable_penrc,
-                         typecheck_penrc, well_defined_penrc)
+                         satisfiable_penrc, typecheck_penrc,
+                         well_defined_penrc)
 from nrcx.frontend import (Diff, Product, Project, RaUnion, Relation, Rename,
                            Select, FD, IND, free_vars, literals, parse,
                            parse_type, print_expr, print_type)
@@ -32,7 +32,7 @@ from nrcx.rx import (ALT_ORACLES, DEFAULT_ORACLES, compile_rx,
                      eval_pure_rx, eval_rx)
 from nrcx.sexpr import read as sread
 from nrcx.translate import (RELATION_TYPE, build_fd_id_reduction, compile_ra,
-                            dependency_expr, desugar_emptiness, enc, enc_env,
+                            dependency_expr, desugar_emptiness, enc,
                             decode_relation, encode_db, encode_relation,
                             ra_schema, translate_expr)
 from nrcx.typeterms import (AtomT, CollT, DataT, ElemT, KAtom, KColl, KData,
@@ -43,7 +43,8 @@ from nrcx.values import (Atom, DataNode, ElemNode, EMPTY_SET, Pair, VSet,
                          is_pure_rx_value, subvalue, subvalue_env, vset)
 
 from oracles import (all_values, apply_atom_map, apply_atom_map_env,
-                     atoms_of, enumerate_values, eval_ra, in_Vk, join,
+                     atoms_of, brute_force_verdict, enc_env,
+                     enumerate_values, eval_ra, in_Vk, join,
                      relation_satisfies)
 
 A, B = Atom("a"), Atom("b")

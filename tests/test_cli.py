@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from nrcx import cli
 from nrcx.cli import main
 from nrcx.frontend import parse, print_expr
 from nrcx.rx import eval_pure_rx, eval_rx
@@ -489,6 +495,41 @@ def test_translate_children(tmp_path, capsys):
     got = parse(out.strip(), "penrc")
     assert got == __import__("nrcx").translate.translate_expr(
         parse("(children x)", "pure-rx"))
+
+
+SING_25 = "(sing " * 25 + "(empty)" + ")" * 25
+SING_25_TOO_LONG = ("budget exceeded: the translation is 5637144415 "
+                    "characters long, over the limit of 33554432\n")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_translation_too_long_exits_5_in_small_memory(tmp_path):
+    # A 25-deep (sing ...) chain translates to a shared tree whose text
+    # would be about 5.6 GB; its length is counted, nothing is written.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nrcx.cli", "translate",
+         write(tmp_path, "e.sexpr", SING_25)],
+        env=env, capture_output=True, text=True, timeout=20,
+        preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (5, "", SING_25_TOO_LONG)
+
+
+def test_translation_at_the_limit_prints(tmp_path, capsys, monkeypatch):
+    expr = write(tmp_path, "e.sexpr", "(sing (sing (children x)))")
+    text = print_expr(translate_expr(parse("(sing (sing (children x)))",
+                                           "pure-rx")))
+    monkeypatch.setattr(cli, "MAX_TRANSLATION_CHARS", len(text))
+    assert run(capsys, "translate", expr) == (0, text + "\n", "")
+    monkeypatch.setattr(cli, "MAX_TRANSLATION_CHARS", len(text) - 1)
+    code, out, err = run(capsys, "translate", expr)
+    assert (code, out) == (5, "")
+    assert err.startswith(f"budget exceeded: the translation is {len(text)} ")
 
 
 def test_translate_rejects_emptiness(tmp_path, capsys):

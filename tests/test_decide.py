@@ -7,7 +7,7 @@ import nrcx.frontend
 import nrcx.penrc
 from nrcx.decide import (BudgetExceededError, NonPenrcError,
                          PreconditionError, SelfCheckError, Verdict,
-                         atom_supply, brute_force_verdict, decide,
+                         atom_supply, decide,
                          fresh_atoms,
                          iter_environments, minimize_counterexample,
                          require_penrc, satisfiable_penrc,
@@ -20,6 +20,8 @@ from nrcx.sexpr import read as sread
 from nrcx.typeterms import (AtomT, CollT, ElemT, ProdT, VoidT, member, rank,
                             type_complexity)
 from nrcx.values import (Atom, EMPTY_SET, Pair, subvalue_env, vset)
+
+from oracles import brute_force_verdict
 
 
 def T(src):

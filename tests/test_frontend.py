@@ -13,7 +13,8 @@ from nrcx.frontend import (AtomLit, CAnd, CEq, CNot, COr, ChildrenF, CondIf,
                            NUnion, NVar, NameF, Project, Relation, Select,
                            Seq, Sing, Var,
                            desugar, free_vars, literals, parse, parse_kind,
-                           parse_type, print_expr, print_kind, print_type)
+                           parse_type, print_expr, print_kind, print_type,
+                           printed_length)
 from nrcx.typeterms import (AtomT, CollT, DataT, ElemT, KAtom, KColl, KData,
                             KElem, KProd, KSum, KIND_ANY, ProdT, SingleT,
                             SumT, VoidT)
@@ -550,7 +551,52 @@ def test_print_expr_rejects_non_expressions():
         with pytest.raises(TypeError, match="not an expression: 42"):
             print_expr(bad)
         with pytest.raises(TypeError, match="not an expression: 42"):
+            printed_length(bad)
+        with pytest.raises(TypeError, match="not an expression: 42"):
             to_sexpr(bad)
+
+
+def test_printed_length_is_the_length_of_the_text():
+    from nrcx.translate import compile_ra, translate_expr
+    from test_acceptance import RA_SCHEMA, _ra_exprs
+    shared = translate_expr(parse("(for x (kind-any) (children y) "
+                                  "(sing (elem (lit b) (children x))))",
+                                  "pure-rx"))
+    exprs = [e for _, e in _row_samples()]
+    exprs += [FD(("A",), ("B", "C")), IND((), ()), Var("xyz"),
+              NUnion(shared, NPair(shared, NSing(shared))),
+              parse("(text " * 400 + "(empty)" + ")" * 400, "rx")]
+    exprs += [compile_ra(q, RA_SCHEMA)[0] for q in _ra_exprs(2)[::20]]
+    for e in exprs:
+        assert printed_length(e) == len(print_expr(e)), e
+
+
+def test_printed_length_counts_each_shared_node_once(monkeypatch):
+    from nrcx.translate import translate_expr
+
+    def sings(depth):
+        text = "(sing " * depth + "(empty)" + ")" * depth
+        return translate_expr(parse(text, "pure-rx"))
+
+    class Rows(dict):  # counts the row lookups, one per compound node
+        looked_up = 0
+
+        def get(self, cls):
+            Rows.looked_up += 1
+            return super().get(cls)
+    e = sings(12)
+    assert len(print_expr(e)) == 687967
+    nodes, stack = set(), [e]
+    while stack:
+        n = stack.pop()
+        if id(n) not in nodes and type(n) is not NVar:
+            nodes.add(id(n))
+            stack.extend(frontend._children(n))
+    monkeypatch.setattr(frontend, "_BY_CLASS", Rows(frontend._BY_CLASS))
+    assert printed_length(e) == 687967
+    assert Rows.looked_up == len(nodes)
+    # At depth 40 the text would be about 185 TB long.
+    assert printed_length(sings(40)) == 184717953466207
 
 
 # --- error messages and compiled-RA round trips ----------------------------

@@ -11,15 +11,16 @@ import random
 
 import pytest
 
-from nrcx.decide import (BudgetExceededError, atom_supply,
-                         brute_force_verdict, decide, satisfiable_penrc,
-                         typecheck_penrc, well_defined_penrc)
+from nrcx.decide import (BudgetExceededError, atom_supply, decide,
+                         satisfiable_penrc, typecheck_penrc,
+                         well_defined_penrc)
 from nrcx.frontend import free_vars, parse, parse_type
 from nrcx.penrc import complexity
 from nrcx.sexpr import read as sread
 from nrcx.static import certify
 from nrcx.typeterms import CollT, DataEncT, VoidT, type_complexity
 
+from oracles import brute_force_verdict
 from test_acceptance import (GAMMA_POOL, SEARCH_OPTS, TYPE_POOL,
                              _random_penrc_src, _require_count_budget,
                              _welldef_corpus)

@@ -14,7 +14,7 @@ from nrcx.translate import (NotAnEncodingError, NotInImageError,
                             NotPurePerxError, RELATION_TYPE, SchemaError,
                             build_fd_id_reduction, compile_ra, dec, dec_env,
                             decode_relation, dependency_expr,
-                            desugar_emptiness, enc, enc_env, encode_db,
+                            desugar_emptiness, enc, encode_db,
                             encode_relation, normalize_relation, ra_schema,
                             translate_expr, translate_kind, translate_type)
 from nrcx.typeterms import (AtomT, CollT, DataEncT, DataT, ElemT, KAtom,
@@ -25,7 +25,7 @@ from nrcx.values import (Atom, DataNode, ElemNode, Pair, VSet, vset,
                          EMPTY_SET, value_to_json)
 
 import oracles
-from oracles import (decodes, enumerate_values, eval_ra,
+from oracles import (decodes, enc_env, enumerate_values, eval_ra,
                      relation_satisfies)
 
 a, b, n = Atom("a"), Atom("b"), Atom("n")
