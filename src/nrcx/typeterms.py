@@ -19,6 +19,7 @@ Kinds use ``KAtom | KData | KElem | KColl | KProd | KSum``.
 from __future__ import annotations
 
 from heapq import merge
+from itertools import islice
 
 from .record import record
 from .sexpr import write
@@ -287,11 +288,11 @@ def iter_values(t, k: int, atoms, budget: int = DEFAULT_VALUE_BUDGET):
     value v with member(v, t), sets of cardinality <= k, and atoms(v)
     drawn from `atoms`.
 
-    Set-typed positions are streamed (subsets in canonical order), so a
-    first match can be found even when the full space is enormous; the
-    element universe of each set position is materialized and checked
-    against `budget`.  This is iter_canonical_values with no fresh
-    atoms, so nothing is pruned.
+    Set-typed positions are streamed (subsets in canonical order), and
+    the element universe of each set position is drawn only as far as
+    the stream reaches, so a first match can be found even when the
+    full space is enormous.  This is iter_canonical_values with no
+    fresh atoms, so nothing is pruned.
     """
     for v, _ in iter_canonical_values(t, k, atoms, (), 0, budget):
         yield v
@@ -313,6 +314,11 @@ def iter_canonical_values(t, k: int, atoms, fresh, seen: int,
     preorder prefix, and a subset or a pair extends its prefix in
     preorder, so an element or a left component that fails prunes
     everything built on it before it is built.
+
+    Each set element and right-hand pair position has a _Universe,
+    drawn on demand.  EnumerationBudgetError is raised, before the
+    first value, when a position's count_values_upper exceeds
+    `budget`.
     """
     atoms = sorted(set(atoms), key=sort_key)
     # Keyed by token: an Atom's own hash is computed in Python.
@@ -320,16 +326,49 @@ def iter_canonical_values(t, k: int, atoms, fresh, seen: int,
     return _iter(t, k, atoms, budget, index, seen)
 
 
-def _materialize(t, k, atoms, budget):
-    """The universe of a set or right-hand pair position: every value of
-    t, none pruned, since a set or a pair may still reach a canonical
-    order through its other parts."""
-    if count_values_upper(t, k, len(atoms)) > budget:
-        raise _over_budget(t, budget)
-    out = [v for v, _ in _iter(t, k, atoms, budget, {}, 0)]
-    if len(out) > budget:
-        raise _over_budget(t, budget)
-    return out
+class _Universe:
+    """The values of a set or right-hand pair position, in canonical
+    order: every value of its type, none pruned, since a set or a pair
+    may still reach a canonical order through its other parts.  They
+    are drawn from the type's stream as they are first reached and
+    kept in `values`; orders[i] caches the fresh order of values[i],
+    computed when the value is first reached.
+
+    Creating a universe checks its count against the budget and draws
+    its first value, so every nested position is checked before the
+    enclosing stream yields anything, as when universes were built
+    whole."""
+
+    __slots__ = ("values", "orders", "_stream")
+
+    def __init__(self, t, k, atoms, budget):
+        if count_values_upper(t, k, len(atoms)) > budget:
+            raise _over_budget(t, budget)
+        self.values = []
+        self.orders = []
+        self._stream = _iter(t, k, atoms, budget, {}, 0)
+        self.reach(0)
+
+    def reach(self, i):
+        """Whether the universe has a value at index i, drawing chunks
+        of its stream, each as long as all drawn so far, until it has
+        or the stream ends."""
+        values = self.values
+        while i >= len(values):
+            if self._stream is None:
+                return False
+            want = len(values) or 1
+            chunk = _materialize(self._stream, want)
+            values += chunk
+            self.orders += [None] * len(chunk)
+            if len(chunk) < want:
+                self._stream = None
+        return True
+
+
+def _materialize(stream, n):
+    """The next n values of a universe's stream, fewer where it ends."""
+    return [v for v, _ in islice(stream, n)]
 
 
 def _fresh_order(v, index, out=None):
@@ -388,15 +427,13 @@ def _iter(t, k, atoms, budget, index, seen):
                 for n, s2 in _iter(t.content, k, atoms, budget, index, s):
                     yield ElemNode(a, n), s2
         else:
-            elems = _materialize(t.content, k, atoms, budget)
-            orders = [None] * len(elems)
+            elems = _Universe(t.content, k, atoms, budget)
             for a, s in _iter_atoms(atoms, index, seen):
-                for sub, s2 in _iter_subsets(elems, orders, k, index, s):
+                for sub, s2 in _iter_subsets(elems, k, index, s):
                     yield ElemNode(a, VSet(sub)), s2
     elif isinstance(t, CollT):
-        elems = _materialize(t.item, k, atoms, budget)
-        orders = [None] * len(elems)
-        for sub, s in _iter_subsets(elems, orders, k, index, seen):
+        elems = _Universe(t.item, k, atoms, budget)
+        for sub, s in _iter_subsets(elems, k, index, seen):
             yield VSet(sub), s
     elif isinstance(t, SingleT):
         for v, s in _iter(t.item, k, atoms, budget, index, seen):
@@ -407,13 +444,22 @@ def _iter(t, k, atoms, budget, index, seen):
         for a, s in _iter_atoms(atoms, index, seen):
             yield Pair(Pair(a, a), EMPTY_SET), s
     elif isinstance(t, ProdT):
-        rights = _materialize(t.right, k, atoms, budget)
-        orders = [_fresh_order(r, index) if index else () for r in rights]
+        rights = _Universe(t.right, k, atoms, budget)
+        values, orders, reach = rights.values, rights.orders, rights.reach
         for l, s in _iter(t.left, k, atoms, budget, index, seen):
-            for r, order in zip(rights, orders):
-                s2 = _advance(order, s)
-                if s2 >= 0:
-                    yield Pair(l, r), s2
+            i = 0
+            while i < len(values) or reach(i):
+                r = values[i]
+                if index:
+                    order = orders[i]
+                    if order is None:
+                        order = orders[i] = _fresh_order(r, index)
+                    s2 = _advance(order, s)
+                    if s2 >= 0:
+                        yield Pair(l, r), s2
+                else:
+                    yield Pair(l, r), s
+                i += 1
     elif isinstance(t, SumT):
         yield from _merge_unique(
             _iter(t.left, k, atoms, budget, index, seen),
@@ -422,19 +468,20 @@ def _iter(t, k, atoms, budget, index, seen):
         raise TypeError(f"not a type term: {t!r}")
 
 
-def _iter_subsets(elems, orders, k, index, seen):
-    """(subset, seen') for the subsets of size <= k of a canonically
-    sorted duplicate-free list, in canonical set order (lexicographic on
-    sorted element tuples), skipping every subset whose fresh atoms come
-    out of turn.  orders[i] caches the fresh order of elems[i], computed
-    when the element is first reached."""
-    n = len(elems)
+def _iter_subsets(universe, k, index, seen):
+    """(subset, seen') for the subsets of size <= k of a _Universe, in
+    canonical set order (lexicographic on sorted element tuples),
+    skipping every subset whose fresh atoms come out of turn.  Elements
+    are drawn from the universe as the subsets first reach them, so a
+    consumer that stops early draws only the prefix it reached."""
+    elems, orders, reach = universe.values, universe.orders, universe.reach
 
     def rec(prefix, start, seen):
         yield tuple(prefix), seen
         if len(prefix) == k:
             return
-        for i in range(start, n):
+        i = start
+        while i < len(elems) or reach(i):
             s = seen
             if index:
                 order = orders[i]
@@ -442,10 +489,12 @@ def _iter_subsets(elems, orders, k, index, seen):
                     order = orders[i] = _fresh_order(elems[i], index)
                 s = _advance(order, seen)
                 if s < 0:
+                    i += 1
                     continue
             prefix.append(elems[i])
             yield from rec(prefix, i + 1, s)
             prefix.pop()
+            i += 1
 
     return rec([], 0, seen)
 

@@ -3,14 +3,17 @@
 Value helpers: the join and the minimum of the sub-value order, the
 bounded-cardinality predicates, atom renamings, the atoms of a value,
 an eager enumeration of a type's values and a brute-force universe of
-values that does not use type terms.  `relation_satisfies` checks a
-dependency on a relation directly, and `eval_ra` evaluates relational
-algebra directly, the oracle of the RA compiler.  `write_sexpr` is
-the s-expression writer that `sexpr.write` replaced, kept as its
-reference.  `to_sexpr` is the expression printer that the one-pass
-`frontend.print_expr` replaced, and `encode_relation` the relation
-encoder that the one in `nrcx.translate` replaced: the references of
-the printed query texts and of the encoded databases.
+values that does not use type terms.  `eager_canonical_values` is the
+enumerator that `typeterms.iter_canonical_values` replaced, which builds
+the whole universe of every set element and right-hand pair position
+before it yields the first value: the reference of the lazy universes.
+`relation_satisfies` checks a dependency on a relation directly, and
+`eval_ra` evaluates relational algebra directly, the oracle of the RA
+compiler.  `write_sexpr` is the s-expression writer that `sexpr.write`
+replaced, kept as its reference.  `to_sexpr` is the expression printer
+that the one-pass `frontend.print_expr` replaced, and `encode_relation`
+the relation encoder that the one in `nrcx.translate` replaced: the
+references of the printed query texts and of the encoded databases.
 
 `brute_force_verdict` runs the search of `decide` with bounds the
 caller chooses, the oracle that confirms the derived bounds, and
@@ -37,8 +40,11 @@ from nrcx.frontend import (ATOM, ATTRS, BINDINGS, COND, EXPR, FD, IND, KIND,
                            TYPE, Diff, NVar, Product, Project, RaUnion,
                            Relation, Rename, Select, Var, _BY_CLASS,
                            literals, print_kind, print_type)
-from nrcx.typeterms import (AtomT, CollT, DataT, ElemT, ProdT, SumT, VoidT,
-                            DEFAULT_VALUE_BUDGET, EnumerationBudgetError,
+from nrcx.typeterms import (AtomT, CollT, DataEncT, DataT, ElemT, ProdT,
+                            SingleT, SumT, VoidT, DEFAULT_VALUE_BUDGET,
+                            EnumerationBudgetError, _advance, _fresh_order,
+                            _iter_atoms, _merge_unique, _over_budget,
+                            count_values_upper,
                             iter_values, member, type_complexity)
 from nrcx.values import (Atom, DataNode, ElemNode, EMPTY_SET, Pair, VSet,
                          sort_key, vset)
@@ -269,6 +275,85 @@ def enumerate_values(t, k: int, atoms, budget: int = DEFAULT_VALUE_BUDGET):
             raise EnumerationBudgetError(
                 f"enumeration exceeds budget {budget}")
     return out
+
+
+def eager_canonical_values(t, k: int, atoms, fresh, seen: int,
+                           budget: int = DEFAULT_VALUE_BUDGET):
+    """iter_canonical_values with every set element and right-hand pair
+    universe built whole, and checked against `budget`, before the
+    first value of its position."""
+    atoms = sorted(set(atoms), key=sort_key)
+    index = {a.token: i for i, a in enumerate(fresh)}
+    return _eager(t, k, atoms, budget, index, seen)
+
+
+def _eager_universe(t, k, atoms, budget):
+    if count_values_upper(t, k, len(atoms)) > budget:
+        raise _over_budget(t, budget)
+    return [v for v, _ in _eager(t, k, atoms, budget, {}, 0)]
+
+
+def _eager(t, k, atoms, budget, index, seen):
+    if isinstance(t, VoidT):
+        return
+    elif isinstance(t, AtomT):
+        yield from _iter_atoms(atoms, index, seen)
+    elif isinstance(t, DataT):
+        for a, s in _iter_atoms(atoms, index, seen):
+            yield DataNode(a), s
+    elif isinstance(t, ElemT):
+        if isinstance(t.content, (CollT, SingleT)):
+            for a, s in _iter_atoms(atoms, index, seen):
+                for n, s2 in _eager(t.content, k, atoms, budget, index, s):
+                    yield ElemNode(a, n), s2
+        else:
+            elems = _eager_universe(t.content, k, atoms, budget)
+            for a, s in _iter_atoms(atoms, index, seen):
+                for sub, s2 in _eager_subsets(elems, k, index, s):
+                    yield ElemNode(a, VSet(sub)), s2
+    elif isinstance(t, CollT):
+        elems = _eager_universe(t.item, k, atoms, budget)
+        for sub, s in _eager_subsets(elems, k, index, seen):
+            yield VSet(sub), s
+    elif isinstance(t, SingleT):
+        for v, s in _eager(t.item, k, atoms, budget, index, seen):
+            yield VSet([v]), s
+    elif isinstance(t, DataEncT):
+        for a, s in _iter_atoms(atoms, index, seen):
+            yield Pair(Pair(a, a), EMPTY_SET), s
+    elif isinstance(t, ProdT):
+        rights = _eager_universe(t.right, k, atoms, budget)
+        orders = [_fresh_order(r, index) for r in rights]
+        for l, s in _eager(t.left, k, atoms, budget, index, seen):
+            for r, order in zip(rights, orders):
+                s2 = _advance(order, s)
+                if s2 >= 0:
+                    yield Pair(l, r), s2
+    elif isinstance(t, SumT):
+        yield from _merge_unique(
+            _eager(t.left, k, atoms, budget, index, seen),
+            _eager(t.right, k, atoms, budget, index, seen))
+    else:
+        raise TypeError(f"not a type term: {t!r}")
+
+
+def _eager_subsets(elems, k, index, seen):
+    """The subsets of size <= k of the list elems, in canonical set
+    order, whose fresh atoms come in turn."""
+    orders = [_fresh_order(e, index) for e in elems]
+
+    def rec(prefix, start, seen):
+        yield tuple(prefix), seen
+        if len(prefix) == k:
+            return
+        for i in range(start, len(elems)):
+            s = _advance(orders[i], seen)
+            if s >= 0:
+                prefix.append(elems[i])
+                yield from rec(prefix, i + 1, s)
+                prefix.pop()
+
+    return rec([], 0, seen)
 
 
 def all_values(depth: int, atoms, max_set: int):

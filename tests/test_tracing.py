@@ -41,3 +41,41 @@ def test_tracer_wraps_and_restores_every_attribute():
         tracer.uninstall()
     for owner, attr in wrapped:
         assert vars(owner)[attr] is before[id(owner)][attr], attr
+
+
+def _check(tmp_path, name, lang, expr, gamma):
+    (tmp_path / f"{name}.sexpr").write_text(expr)
+    (tmp_path / f"{name}.gamma.sexpr").write_text(gamma)
+    return ["check", str(tmp_path / f"{name}.sexpr"), "--lang", lang,
+            "--mode", "welldef", "--gamma",
+            str(tmp_path / f"{name}.gamma.sexpr")]
+
+
+def test_traced_checks_answer_as_untraced(tmp_path, capsys):
+    # Both searches fail on an early environment, so the enumerator
+    # draws only a prefix of each universe; _materialize must still
+    # return the list the tracer counts.
+    requests = [
+        _check(tmp_path, "penrc", "penrc", "(for a x (for b a (fst b)))",
+               "((x (coll (coll (atom)))))"),
+        _check(tmp_path, "pure", "pure-rx", "(name x)",
+               "((x (coll (elem (data)))))")]
+
+    def answers():
+        out = []
+        for argv in requests:
+            code = nrcx.cli.main(argv)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    plain = answers()
+    assert [code for code, _, _ in plain] == [4, 4]
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install_spans(nrcx)
+        traced = answers()
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert tracer.counts["typeterms.materialized"] > 0
