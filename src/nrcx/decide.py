@@ -7,11 +7,13 @@ sets are small (bounded by the k-complexity of the expression) and whose
 atoms are drawn from the expression's literals plus a bounded supply of
 fresh atoms.
 
-``decide`` tries a static route first: when ``static.certify``, which
-evaluates e over Γ's types, proves e defined with its output type below
-τ (coll(void) for sat), no environment is examined.  Otherwise the
-search enumerates the finite space in canonical order, so that an
-early counterexample is found long before the space is exhausted.
+``decide`` checks Γ and τ against the language's type domain, then
+tries a static route: when ``static.certify``, which evaluates e over
+Γ's types, proves e defined with its output type below τ (coll(void)
+for sat), no environment is examined.  Otherwise the search enumerates
+the finite space in canonical order, so that an early counterexample
+is found long before the space is exhausted.  Type-checking and
+satisfiability presuppose well-definedness, which is decided first.
 
 The pure RX procedures reduce to the nested ones through the value and
 expression encodings in :mod:`nrcx.translate`.  The translated types
@@ -24,18 +26,21 @@ problem, as the paper derives them.
 from __future__ import annotations
 
 import itertools
+import json
+import math
 import time
 
-from .frontend import NEmptyCond, free_vars, literals, _children
+from .frontend import NEmptyCond, free_vars, literals, print_type, _children
 from .penrc import complexity, compile_penrc
 from .record import record
+from .sexpr import write
 from .static import certify
 # perfbench/tracing.py wraps nrcx.decide.eval_penrc, so the name stays;
 # the search runs the program compile_penrc returns instead.
 from .penrc import eval_penrc  # noqa: F401
 from .translate import dec_env, translate_expr, translate_type
-from .typeterms import (CollT, VoidT, member, rank, type_complexity,
-                        iter_canonical_values, EnumerationBudgetError)
+from .typeterms import (CollT, VoidT, EnumerationBudgetError, is_nrc_type,
+                        iter_canonical_values, member, rank, type_complexity)
 # perfbench/tracing.py wraps nrcx.decide.iter_values, so the name stays.
 from .typeterms import iter_values  # noqa: F401
 from .values import (Atom, DataNode, ElemNode, Pair, VSet, sort_key,
@@ -114,11 +119,9 @@ def atom_supply(e, gamma, card: int):
     cardinality card."""
     fv = free_vars(e)
     n_fresh = sum(rank(t, card) for x, t in gamma.items() if x in fv)
-    lits = sorted(literals(e), key=sort_key)
-    fresh = fresh_atoms(n_fresh)
-    lit_set = set(lits)
-    fresh = [a for a in fresh if a not in lit_set]
-    return lits + fresh, fresh
+    lits = literals(e)
+    fresh = [a for a in fresh_atoms(n_fresh) if a not in lits]
+    return sorted(lits, key=sort_key) + fresh, fresh
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +210,8 @@ def minimize_counterexample(env, failing, budget=DEFAULT_MINIMIZE_BUDGET):
         lattices = [_subvalues(env[x], budget) for x in names]
     except _MinimizeBudget:
         return env
-    total = 1
-    for lat in lattices:
-        total *= len(lat)
-        if total > budget:
-            return env
+    if math.prod(map(len, lattices)) > budget:
+        return env
     bad = []
     for combo in itertools.product(*lattices):
         cand = dict(zip(names, combo))
@@ -272,6 +272,25 @@ def _check_gamma(e, gamma):
             f"free variables without declared types: {sorted(missing)}")
 
 
+TYPE_DOMAINS = {"penrc": "an NRC type", "pure-rx": "a pure RX type"}
+
+
+def _domain_type(t, what, lang):
+    """t as the search reads it, translated for pure RX; PreconditionError
+    when t is outside the language's type domain."""
+    try:
+        if lang == "pure-rx":
+            # TypeError outside the domain (ValueError, an error too,
+            # for set-based RX element types).
+            return translate_type(t)
+        if is_nrc_type(t):
+            return t
+    except TypeError:
+        pass
+    raise PreconditionError(
+        f"{what} is not {TYPE_DOMAINS[lang]}: {write(print_type(t))}")
+
+
 def _output_type(mode, tau):
     """The type a mode checks outputs against; None for well-definedness."""
     if mode not in ("welldef", "type", "sat"):
@@ -317,27 +336,45 @@ def decide(e, gamma, mode, *, lang="penrc", tau=None, **options):
 
     "welldef": is e defined on every compatible environment?  A False
     verdict carries a minimized counterexample, as does one of "type":
-    does e always output a value of type tau?  That presupposes e well
-    defined; an undefined environment raises PreconditionError.  "sat":
-    does some environment make e nonempty?  It is the type check against
+    does e always output a value of type tau?  "sat": does some
+    environment make e nonempty?  It is the type check against
     coll(void) with the polarity flipped, so a True verdict carries the
-    witness in the counterexample field.  lang "pure-rx" decides the
-    encoded problem and reports pure RX environments.
+    witness in the counterexample field.  Type and sat raise
+    PreconditionError, with the welldef counterexample, when e is not
+    well defined; so does every mode on a type outside lang's domain.
+    lang "pure-rx" decides the encoded problem and reports pure RX
+    environments.
     """
     tau = _output_type(mode, tau)
+    if lang not in TYPE_DOMAINS:
+        raise ValueError(f"unknown language {lang!r}")
+    gamma = {x: _domain_type(gamma[x], f"type of {x}", lang)
+             for x in sorted(gamma)}
+    if tau is not None:
+        tau = _domain_type(tau, "output type", lang)
     pure = lang == "pure-rx"
     if pure:
         e = translate_expr(e)
-        gamma = {x: translate_type(t) for x, t in gamma.items()}
-        tau = None if tau is None else translate_type(tau)
-    elif lang == "penrc":
-        require_penrc(e)
     else:
-        raise ValueError(f"unknown language {lang!r}")
+        require_penrc(e)
     _check_gamma(e, gamma)
+    return _decide(e, gamma, mode, tau, pure, options)
+
+
+def _decide(e, gamma, mode, tau, pure, options):
+    """decide on the nested problem, its types in the domain."""
+    proved = certify(e, gamma, tau)
+    if not proved and tau is not None:
+        # A type certificate also proves e well defined; without one,
+        # the precondition is decided before the type search.
+        welldef = _decide(e, gamma, "welldef", None, pure, options)
+        if not welldef.result:
+            raise PreconditionError(
+                "precondition failed: expression is not well defined; "
+                "counterexample: " + json.dumps(welldef.to_json()))
     card = complexity(e, 1 if tau is None else max(type_complexity(tau), 1))
     atoms, fresh = atom_supply(e, gamma, card)
-    if certify(e, gamma, tau):
+    if proved:
         bounds = {"card": card, "atoms": len(atoms) or 1, "examined": 0}
         return Verdict(mode != "sat", None, bounds)
     return _search(e, gamma, mode, tau, card, atoms, fresh, pure, options)

@@ -104,7 +104,13 @@ def on_image(env):
 def encoded_decide(e, gamma, mode, tau=None, **options):
     """decide(e, gamma, mode, lang="pure-rx", tau=tau) by the encoded
     route.  Returns the verdict and the number of environments the
-    search reached that decode, the one that fails included."""
+    search reached that decode, the one that fails included.  Type and
+    sat presuppose well-definedness, which the encoded route decides
+    first."""
+    if mode != "welldef" and not encoded_decide(e, gamma, "welldef",
+                                                **options)[0].result:
+        raise PreconditionError(
+            "precondition failed: expression is not well defined")
     tau = _output_type(mode, tau)
     e = translate_expr(e)
     gamma = {x: paper_type(t) for x, t in gamma.items()}

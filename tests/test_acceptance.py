@@ -21,8 +21,8 @@ from pathlib import Path
 import pytest
 
 import nrcx
-from nrcx.decide import (BudgetExceededError, atom_supply,
-                         satisfiable_penrc, typecheck_penrc,
+from nrcx.decide import (BudgetExceededError, PreconditionError,
+                         atom_supply, satisfiable_penrc, typecheck_penrc,
                          well_defined_penrc)
 from nrcx.frontend import (Diff, Product, Project, RaUnion, Relation, Rename,
                            Select, FD, IND, free_vars, literals, parse,
@@ -424,6 +424,8 @@ def test_ac5_typecheck_bounds_validated_on_corpus():
         n_atoms = len(atom_supply(e, gamma, card)[0]) or 1
         try:
             if not well_defined_penrc(e, gamma, **SEARCH_OPTS).result:
+                with pytest.raises(PreconditionError):
+                    typecheck_penrc(e, gamma, tau, **SEARCH_OPTS)
                 continue
             derived = typecheck_penrc(e, gamma, tau, **SEARCH_OPTS)
             enlarged = brute_force_verdict(e, gamma, "type", card + 1,
@@ -692,6 +694,8 @@ def test_ac9_satisfiability_agrees_with_direct_search():
         gamma = {v: T(rng.choice(GAMMA_POOL)) for v in sorted(free_vars(e))}
         try:
             if not well_defined_penrc(e, gamma, **SEARCH_OPTS).result:
+                with pytest.raises(PreconditionError):
+                    satisfiable_penrc(e, gamma, **SEARCH_OPTS)
                 continue
             verdict = satisfiable_penrc(e, gamma, **SEARCH_OPTS)
         except BudgetExceededError as exc:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import nrcx.decide
 from nrcx import cli
 from nrcx.cli import main
 from nrcx.frontend import parse, print_expr
@@ -466,7 +467,9 @@ def test_check_output_is_pinned(tmp_path, capsys):
     # test_pure_route.py.  Six `examined` counts were re-recorded as 0
     # when the static certificate came to decide those problems (three
     # holding penrc verdicts, two holding pure-RX verdicts and one
-    # unsatisfiable one); their verdicts and bounds are unchanged.
+    # unsatisfiable one); their verdicts and bounds are unchanged.  The
+    # bytes did not change when the type-domain check and the
+    # well-definedness precondition moved from the CLI into `decide`.
     transcript = []
     for lang, mode, expr, gamma, tau in PINNED_CHECKS:
         argv = ["check", write(tmp_path, "e.sexpr", expr), "--lang", lang,
@@ -477,6 +480,41 @@ def test_check_output_is_pinned(tmp_path, capsys):
         transcript.append(f"{code}\n{out}{err}")
     digest = hashlib.sha256("".join(transcript).encode()).hexdigest()
     assert digest == PINNED_CHECKS_SHA256, transcript
+
+
+def test_check_pure_rx_precondition_is_pinned(tmp_path, capsys):
+    # Exit code, stdout and stderr of a pure-RX type and sat check whose
+    # expression is not well defined, recorded while `nrcx check` still
+    # decided the precondition with a `decide` call of its own.
+    expected = (1, "", "error: precondition failed: expression is not "
+                "well defined; counterexample: {\"result\": false, "
+                "\"counterexample\": {\"x\": {\"data\": \"@0\"}}, "
+                "\"bounds\": {\"card\": 1, \"atoms\": 2, "
+                "\"examined\": 1}}\n")
+    expr = write(tmp_path, "e.sexpr", "(name x)")
+    gamma = write(tmp_path, "g.sexpr", "((x (data)))")
+    tau = write(tmp_path, "t.sexpr", "(atom)")
+    for extra in (["--mode", "type", "--type", tau], ["--mode", "sat"]):
+        got = run(capsys, "check", expr, "--lang", "pure-rx",
+                  "--gamma", gamma, *extra)
+        assert got == expected, extra
+
+
+def test_check_translates_and_certifies_once(tmp_path, capsys, monkeypatch):
+    # One check translates e once, each type once, and certifies once.
+    calls = dict.fromkeys(["translate_expr", "translate_type", "certify"], 0)
+    for name in calls:
+        def counted(*args, _f=getattr(nrcx.decide, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(nrcx.decide, name, counted)
+    expr = write(tmp_path, "e.sexpr", "(sing x)")
+    gamma = write(tmp_path, "g.sexpr", "((x (atom)))")
+    tau = write(tmp_path, "t.sexpr", "(coll (atom))")
+    code, _, _ = run(capsys, "check", expr, "--lang", "pure-rx",
+                     "--mode", "type", "--gamma", gamma, "--type", tau)
+    assert code == 0
+    assert calls == {"translate_expr": 1, "translate_type": 2, "certify": 1}
 
 
 # --- parse and translate ---------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -111,6 +112,38 @@ def test_typecheck_empty_against_empty_coll():
 def test_typecheck_precondition_needs_well_definedness():
     with pytest.raises(PreconditionError):
         typecheck_penrc(P("(fst x)"), {"x": T("(coll (atom))")}, T("(atom)"))
+
+
+def test_typecheck_and_sat_check_the_precondition_first():
+    # On y = {} the output {} is not an atom, but on a nonempty y the
+    # flatten is undefined: no verdict, the precondition fails.
+    e, gamma = P("(flatten y)"), {"y": T("(coll (atom))")}
+    welldef = well_defined_penrc(e, gamma)
+    assert welldef.result is False
+    message = ("precondition failed: expression is not well defined; "
+               "counterexample: " + json.dumps(welldef.to_json()))
+    for call in (lambda: typecheck_penrc(e, gamma, T("(atom)")),
+                 lambda: satisfiable_penrc(e, gamma)):
+        with pytest.raises(PreconditionError) as info:
+            call()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("lang, gamma, tau, message", [
+    ("penrc", "(single (atom))", None,
+     "type of x is not an NRC type: (single (atom))"),
+    ("penrc", "(atom)", "(data)", "output type is not an NRC type: (data)"),
+    ("pure-rx", "(prod (atom) (atom))", None,
+     "type of x is not a pure RX type: (prod (atom) (atom))"),
+    ("pure-rx", "(coll (atom))", "(prod (atom) (atom))",
+     "output type is not a pure RX type: (prod (atom) (atom))"),
+])
+def test_decide_rejects_types_outside_the_language(lang, gamma, tau, message):
+    mode = "welldef" if tau is None else "type"
+    with pytest.raises(PreconditionError) as info:
+        decide(parse("x", lang), {"x": T(gamma)}, mode, lang=lang,
+               tau=None if tau is None else T(tau))
+    assert str(info.value) == message
 
 
 def test_typecheck_cardinality_uses_target_complexity():
