@@ -182,6 +182,10 @@ def cmd_eval(args):
 
 
 def cmd_check(args):
+    if args.max_envs < 1:
+        raise CliError(f"--max-envs: {args.max_envs} is below 1")
+    if not 0 < args.timeout < float("inf"):  # NaN fails it too
+        raise CliError(f"--timeout: {args.timeout} is not positive and finite")
     e = _load_expr(args.expr, args.lang)
     gamma = _load_gamma(args.gamma)
     tau = None
@@ -318,8 +322,10 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on an argument error
+        sys.exit(EXIT_USAGE if exc.code == 2 else exc.code)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

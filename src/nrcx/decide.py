@@ -8,12 +8,16 @@ atoms are drawn from the expression's literals plus a bounded supply of
 fresh atoms.
 
 ``decide`` checks Γ and τ against the language's type domain, then
-tries a static route: when ``static.certify``, which evaluates e over
-Γ's types, proves e defined with its output type below τ (coll(void)
-for sat), no environment is examined.  Otherwise the search enumerates
-the finite space in canonical order, so that an early counterexample
-is found long before the space is exhausted.  Type-checking and
-satisfiability presuppose well-definedness, which is decided first.
+makes each whole-tree pass over e once: the k-complexity (which rejects
+the emptiness test), the free variables, the static certificate and
+the literals.  ``static.certify`` evaluates e over Γ's types once, and
+that one evaluation answers both questions: is e defined, and is its
+output type below τ (coll(void) for sat)?  When both are proved, no
+environment is examined.  Otherwise the search enumerates the finite
+space in canonical order, so that an early counterexample is found long
+before the space is exhausted.  Type-checking and satisfiability
+presuppose well-definedness; when the certificate does not prove e
+defined, the well-definedness search runs first.
 
 The pure RX procedures reduce to the nested ones through the value and
 expression encodings in :mod:`nrcx.translate`.  The translated types
@@ -30,8 +34,9 @@ import json
 import math
 import time
 
-from .frontend import NEmptyCond, free_vars, literals, print_type, _children
-from .penrc import complexity, compile_penrc
+from .frontend import free_vars, literals, print_type
+# NonPenrcError is raised by complexity, and importable from here.
+from .penrc import NonPenrcError, complexity, compile_penrc  # noqa: F401
 from .record import record
 from .sexpr import write
 from .static import certify
@@ -45,10 +50,6 @@ from .typeterms import (CollT, VoidT, EnumerationBudgetError, is_nrc_type,
 from .typeterms import iter_values  # noqa: F401
 from .values import (Atom, DataNode, ElemNode, Pair, VSet, sort_key,
                      subvalue_env, env_to_json, RESERVED_ATOM_PREFIX)
-
-
-class NonPenrcError(ValueError):
-    """The expression falls outside the decidable fragment."""
 
 
 class PreconditionError(ValueError):
@@ -93,33 +94,16 @@ class Verdict:
         }
 
 
-def require_penrc(e, seen=None):
-    """Reject expressions containing the full-NRC emptiness test.  seen
-    holds the ids of the nodes already checked (see frontend.free_vars)."""
-    if seen is None:
-        seen = set()
-    if id(e) in seen:
-        return
-    seen.add(id(e))
-    if isinstance(e, NEmptyCond):
-        raise NonPenrcError(
-            "emptiness tests are outside the decidable fragment")
-    for c in _children(e):
-        require_penrc(c, seen)
-
-
 def fresh_atoms(n: int):
     """n pairwise-distinct atoms from the reserved namespace."""
     return [Atom(f"{RESERVED_ATOM_PREFIX}{i}") for i in range(n)]
 
 
-def atom_supply(e, gamma, card: int):
-    """Literals of e plus enough fresh atoms to realize any witness:
-    one per atom position available across the free variables' types at
-    cardinality card."""
-    fv = free_vars(e)
-    n_fresh = sum(rank(t, card) for x, t in gamma.items() if x in fv)
-    lits = literals(e)
+def atom_supply(lits, fv, gamma, card: int):
+    """The literals lits of e plus enough fresh atoms to realize any
+    witness: one per atom position available across the types gamma
+    gives e's free variables fv at cardinality card."""
+    n_fresh = sum(rank(gamma[x], card) for x in fv)
     fresh = [a for a in fresh_atoms(n_fresh) if a not in lits]
     return sorted(lits, key=sort_key) + fresh, fresh
 
@@ -265,13 +249,6 @@ def search_counterexample(failing, gamma, card, atoms, *, fresh=(),
     return Verdict(True, None, bounds)
 
 
-def _check_gamma(e, gamma):
-    missing = free_vars(e) - set(gamma)
-    if missing:
-        raise PreconditionError(
-            f"free variables without declared types: {sorted(missing)}")
-
-
 TYPE_DOMAINS = {"penrc": "an NRC type", "pure-rx": "a pure RX type"}
 
 
@@ -355,25 +332,26 @@ def decide(e, gamma, mode, *, lang="penrc", tau=None, **options):
     pure = lang == "pure-rx"
     if pure:
         e = translate_expr(e)
-    else:
-        require_penrc(e)
-    _check_gamma(e, gamma)
-    return _decide(e, gamma, mode, tau, pure, options)
-
-
-def _decide(e, gamma, mode, tau, pure, options):
-    """decide on the nested problem, its types in the domain."""
+    k = 1 if tau is None else max(type_complexity(tau), 1)
+    card = complexity(e, k)  # NonPenrcError on an emptiness test
+    fv = free_vars(e)
+    missing = fv - set(gamma)
+    if missing:
+        raise PreconditionError(
+            f"free variables without declared types: {sorted(missing)}")
     proved = certify(e, gamma, tau)
-    if not proved and tau is not None:
-        # A type certificate also proves e well defined; without one,
-        # the precondition is decided before the type search.
-        welldef = _decide(e, gamma, "welldef", None, pure, options)
+    lits = literals(e)
+    if proved is None and tau is not None:
+        # Without a certificate of definedness, the precondition is
+        # decided before the type search.
+        card1 = card if k == 1 else complexity(e, 1)
+        welldef = _search(e, gamma, "welldef", None, card1,
+                          *atom_supply(lits, fv, gamma, card1), pure, options)
         if not welldef.result:
             raise PreconditionError(
                 "precondition failed: expression is not well defined; "
                 "counterexample: " + json.dumps(welldef.to_json()))
-    card = complexity(e, 1 if tau is None else max(type_complexity(tau), 1))
-    atoms, fresh = atom_supply(e, gamma, card)
+    atoms, fresh = atom_supply(lits, fv, gamma, card)
     if proved:
         bounds = {"card": card, "atoms": len(atoms) or 1, "examined": 0}
         return Verdict(mode != "sat", None, bounds)

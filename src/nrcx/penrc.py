@@ -27,6 +27,10 @@ FLATTEN_ON_NONSET_OF_SETS = "flatten-on-nonset-of-sets"
 COMPREHENSION_ON_NONSET = "comprehension-on-nonset"
 
 
+class NonPenrcError(ValueError):
+    """The expression falls outside the decidable fragment."""
+
+
 def compile_penrc(e):
     """The evaluator of e: environment -> Defined(value) or
     Undefined(reason, failing subexpression)."""
@@ -122,7 +126,9 @@ def complexity(e, k: int, memo=None) -> int:
     the output trace back to environments whose sets have cardinality
     at most c(e, k).  Exact (unbounded) integer arithmetic.  memo maps
     (id of a node, k) to its result, as for frontend.free_vars: the
-    pure-RX translation shares subtrees."""
+    pure-RX translation shares subtrees.  Every node is visited, the
+    operands of the tests included, so an emptiness test anywhere in e
+    raises NonPenrcError."""
     if memo is None:
         memo = {}
     out = memo.get((id(e), k))
@@ -142,10 +148,13 @@ def complexity(e, k: int, memo=None) -> int:
         body = complexity(e.body, k, memo)
         out = complexity(e.source, max(k, body), memo) + k * body
     elif isinstance(e, (NEqCond, NKindCond)):
+        for operand in ((e.left, e.right) if isinstance(e, NEqCond)
+                        else (e.subject,)):
+            complexity(operand, k, memo)
         out = max(complexity(e.then, k, memo), complexity(e.els, k, memo))
     elif isinstance(e, NEmptyCond):
-        raise ValueError(
-            "k-complexity is not defined for the emptiness test")
+        raise NonPenrcError(
+            "emptiness tests are outside the decidable fragment")
     else:
         raise TypeError(f"not a nested-calculus expression: {e!r}")
     memo[(id(e), k)] = out

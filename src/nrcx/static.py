@@ -37,19 +37,22 @@ class _Unproved(Exception):
     """A case may be undefined (the reason), or the step budget is spent."""
 
 
-def certify(e, gamma, tau=None) -> bool:
-    """e is defined on every environment compatible with gamma, and with
-    tau every output is of type tau.  e has no emptiness test, and gamma
-    declares its free variables."""
+def certify(e, gamma, tau=None):
+    """None when e is not proved defined on every environment compatible
+    with gamma; otherwise whether every output is proved to be of type
+    tau (True without tau).  One evaluation answers both.  e has no
+    emptiness test, and gamma declares its free variables."""
     cert = _Certifier()
+    proved = None
     try:
         env = {x: cert.cases(t) for x, t in gamma.items()}
         if not all(env.values()):
             return True  # a void entry: no environment is compatible
         out = cert.eval(e, env)
+        proved = False
         return tau is None or cert.below(out, tau)
     except (_Unproved, RecursionError):
-        return False
+        return proved
 
 
 class _Certifier:

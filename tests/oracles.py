@@ -30,16 +30,15 @@ that `dec_env` rejects.
 import itertools
 from typing import Callable, Mapping
 
-from nrcx.decide import (PreconditionError, Verdict, _check_gamma,
-                         _output_type, _search, atom_supply, fresh_atoms,
-                         require_penrc, search_counterexample)
+from nrcx.decide import (PreconditionError, Verdict, _output_type, _search,
+                         atom_supply, fresh_atoms, search_counterexample)
 from nrcx.penrc import complexity, compile_penrc
 from nrcx.translate import (NotInImageError, dec, dec_env, enc, ra_schema,
                             translate_expr)
 from nrcx.frontend import (ATOM, ATTRS, BINDINGS, COND, EXPR, FD, IND, KIND,
                            TYPE, Diff, NVar, Product, Project, RaUnion,
                            Relation, Rename, Select, Var, _BY_CLASS,
-                           literals, print_kind, print_type)
+                           free_vars, literals, print_kind, print_type)
 from nrcx.typeterms import (AtomT, CollT, DataEncT, DataT, ElemT, ProdT,
                             SingleT, SumT, VoidT, DEFAULT_VALUE_BUDGET,
                             EnumerationBudgetError, _advance, _fresh_order,
@@ -59,8 +58,11 @@ def brute_force_verdict(e, gamma, mode, card, n_atoms, *, tau=None,
     lose no counterexamples.
     """
     tau = _output_type(mode, tau)
-    require_penrc(e)
-    _check_gamma(e, gamma)
+    complexity(e, 1)  # NonPenrcError on an emptiness test
+    missing = free_vars(e) - set(gamma)
+    if missing:
+        raise PreconditionError(
+            f"free variables without declared types: {sorted(missing)}")
     lits = sorted(literals(e), key=sort_key)
     fresh = [a for a in fresh_atoms(max(0, n_atoms))
              if a not in set(lits)][:max(0, n_atoms - len(lits))]
@@ -116,7 +118,7 @@ def encoded_decide(e, gamma, mode, tau=None, **options):
     gamma = {x: paper_type(t) for x, t in gamma.items()}
     tau = None if tau is None else paper_type(tau)
     card = complexity(e, 1 if tau is None else max(type_complexity(tau), 1))
-    atoms, fresh = atom_supply(e, gamma, card)
+    atoms, fresh = atom_supply(literals(e), free_vars(e), gamma, card)
     if not atoms:
         atoms, fresh = fresh_atoms(1), fresh_atoms(1)
     evaluate = compile_penrc(e)

@@ -401,7 +401,8 @@ def test_ac5_welldef_bounds_validated_on_corpus():
     while agreed < 200:
         (e, gamma), = _welldef_corpus(rng, 1)
         card = complexity(e, 1)
-        n_atoms = len(atom_supply(e, gamma, card)[0]) or 1
+        n_atoms = len(atom_supply(literals(e), free_vars(e), gamma,
+                                  card)[0]) or 1
         try:
             derived = well_defined_penrc(e, gamma, **SEARCH_OPTS)
             enlarged = brute_force_verdict(e, gamma, "welldef", card + 1,
@@ -421,7 +422,8 @@ def test_ac5_typecheck_bounds_validated_on_corpus():
         tau = T(rng.choice(TYPE_POOL))
         k = type_complexity(tau)
         card = complexity(e, max(k, 1))
-        n_atoms = len(atom_supply(e, gamma, card)[0]) or 1
+        n_atoms = len(atom_supply(literals(e), free_vars(e), gamma,
+                                  card)[0]) or 1
         try:
             if not well_defined_penrc(e, gamma, **SEARCH_OPTS).result:
                 with pytest.raises(PreconditionError):
@@ -671,7 +673,7 @@ def _direct_satisfiable(e, gamma):
     """Independent bounded search: does any compatible environment at
     the procedure's own bounds yield output outside coll(void)?"""
     card = complexity(e, max(type_complexity(CollT(VoidT())), 1))
-    atoms, _ = atom_supply(e, gamma, card)
+    atoms, _ = atom_supply(literals(e), free_vars(e), gamma, card)
     if not atoms:
         atoms = [A]
     names = sorted(gamma)

@@ -229,6 +229,47 @@ def test_check_budget_exit_5(tmp_path, capsys):
     assert code == 5 and "budget" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--max-envs", "-1"), ("--max-envs", "0"), ("--timeout", "nan"),
+    ("--timeout", "inf"), ("--timeout", "0"), ("--timeout", "-2"),
+])
+def test_check_rejects_budget_options_out_of_range_exit_1(tmp_path, capsys,
+                                                         flag, value):
+    # A budget below 1 used to exit 5, and a NaN timeout turned the
+    # timeout off, since every comparison with NaN is false.
+    expr = write(tmp_path, "e.sexpr", "x")
+    gamma = write(tmp_path, "gamma.sexpr", "((x (atom)))")
+    code, out, err = run(capsys, "check", expr, "--lang", "penrc",
+                         "--mode", "welldef", "--gamma", gamma, flag, value)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag}: {value}"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "e.sexpr", "--lang", "foo", "--mode", "welldef",
+     "--gamma", "g.sexpr"],
+    ["check", "e.sexpr", "--lang", "penrc", "--mode", "welldef",
+     "--gamma", "g.sexpr", "--max-envs", "abc"],
+    ["check", "e.sexpr", "--lang", "penrc"],
+    ["frobnicate"],
+    [],
+])
+def test_argument_errors_exit_1(capsys, argv):
+    # Usage errors exit 1, argparse's errors included (it exits 2).
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: " in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--max-envs" in capsys.readouterr().out
+
+
 def test_check_equi_join_holds_statically(tmp_path, capsys):
     expr = write(tmp_path, "e.sexpr",
                  "(for r R (for s S (ifeq (snd r) (fst s) "
@@ -501,20 +542,33 @@ def test_check_pure_rx_precondition_is_pinned(tmp_path, capsys):
 
 
 def test_check_translates_and_certifies_once(tmp_path, capsys, monkeypatch):
-    # One check translates e once, each type once, and certifies once.
-    calls = dict.fromkeys(["translate_expr", "translate_type", "certify"], 0)
-    for name in calls:
+    # One check translates e once and each type once, and makes each
+    # whole-tree pass over e once: one certificate evaluation, one
+    # top-level free_vars walk and one literals walk.  So does a check
+    # whose expression the certificate cannot prove defined, which then
+    # decides well-definedness by the search before the type search.
+    names = ["translate_expr", "translate_type", "certify", "free_vars",
+             "literals"]
+    calls = {}
+    for name in names:
         def counted(*args, _f=getattr(nrcx.decide, name), _name=name):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(nrcx.decide, name, counted)
-    expr = write(tmp_path, "e.sexpr", "(sing x)")
-    gamma = write(tmp_path, "g.sexpr", "((x (atom)))")
     tau = write(tmp_path, "t.sexpr", "(coll (atom))")
-    code, _, _ = run(capsys, "check", expr, "--lang", "pure-rx",
-                     "--mode", "type", "--gamma", gamma, "--type", tau)
-    assert code == 0
-    assert calls == {"translate_expr": 1, "translate_type": 2, "certify": 1}
+    atom = write(tmp_path, "a.sexpr", "(atom)")
+    for src, x_type, extra, code in [
+            ("(sing x)", "(atom)", ["--mode", "type", "--type", tau], 0),
+            ("(name x)", "(data)", ["--mode", "type", "--type", atom], 1),
+            ("(name x)", "(data)", ["--mode", "sat"], 1)]:
+        calls.update(dict.fromkeys(names, 0))
+        expr = write(tmp_path, "e.sexpr", src)
+        gamma = write(tmp_path, "g.sexpr", f"((x {x_type}))")
+        got, _, _ = run(capsys, "check", expr, "--lang", "pure-rx",
+                        "--gamma", gamma, *extra)
+        assert got == code, (src, extra)
+        assert calls == {"translate_expr": 1, "translate_type": 2,
+                         "certify": 1, "free_vars": 1, "literals": 1}, extra
 
 
 # --- parse and translate ---------------------------------------------------

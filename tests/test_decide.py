@@ -11,11 +11,11 @@ from nrcx.decide import (BudgetExceededError, NonPenrcError,
                          atom_supply, decide,
                          fresh_atoms,
                          iter_environments, minimize_counterexample,
-                         require_penrc, satisfiable_penrc,
+                         satisfiable_penrc,
                          search_counterexample, typecheck_penrc,
                          typecheck_pure_rx, well_defined_penrc,
                          well_defined_pure_rx)
-from nrcx.frontend import parse, parse_type, free_vars
+from nrcx.frontend import parse, parse_type, free_vars, literals
 from nrcx.penrc import complexity, eval_penrc
 from nrcx.sexpr import read as sread
 from nrcx.typeterms import (AtomT, CollT, ElemT, ProdT, VoidT, member, rank,
@@ -81,9 +81,17 @@ def test_welldef_equi_join_holds_statically():
 
 
 def test_welldef_rejects_emptiness_test():
-    with pytest.raises(NonPenrcError):
-        well_defined_penrc(P("(ifempty x y x)"), {"x": T("(atom)"),
-                                                  "y": T("(atom)")})
+    # Also in the operands of the tests, in every mode: the certificate
+    # has no row for the emptiness test, so complexity must reach them.
+    gamma = {"x": T("(atom)"), "y": T("(atom)")}
+    for src in ("(ifempty x y x)", "(ifeq (ifempty x y x) x x x)",
+                "(ifeq x (fst (pair x (ifempty x y x))) x x)",
+                "(ifkind (ifempty x y x) (kind-atom) x y)"):
+        for mode, tau in (("welldef", None), ("type", T("(atom)")),
+                          ("sat", None)):
+            with pytest.raises(NonPenrcError,
+                               match="outside the decidable fragment"):
+                decide(P(src), gamma, mode, tau=tau)
 
 
 def test_welldef_requires_gamma_coverage():
@@ -356,7 +364,7 @@ def test_atom_supply_counts_free_variable_ranks():
     e = P("(union x (sing (lit a)))")
     gamma = {"x": T("(coll (atom))"), "unused": T("(coll (atom))")}
     card = complexity(e, 1)
-    atoms, fresh = atom_supply(e, gamma, card)
+    atoms, fresh = atom_supply(literals(e), free_vars(e), gamma, card)
     assert Atom("a") in atoms
     assert len(fresh) == rank(T("(coll (atom))"), card)
 
@@ -397,7 +405,8 @@ def test_brute_force_agrees_with_derived_bounds_on_corpus():
         e = P(_random_expr(rng, rng.randrange(1, 4), ["x", "y"]))
         gamma = {v: T(rng.choice(GAMMA_POOL)) for v in sorted(free_vars(e))}
         card = complexity(e, 1)
-        atoms = len(atom_supply(e, gamma, card)[0]) or 1
+        atoms = len(atom_supply(literals(e), free_vars(e), gamma,
+                                card)[0]) or 1
         try:
             v1 = well_defined_penrc(e, gamma, max_envs=20000)
             v2 = brute_force_verdict(e, gamma, "welldef", card + 1,
@@ -428,7 +437,8 @@ def test_verdicts_stable_under_enlarged_bounds():
     # Growing the bounds beyond the derived ones never flips a verdict.
     for e, gamma in PROBLEMS:
         card = complexity(e, 1)
-        atoms = len(atom_supply(e, gamma, card)[0]) or 1
+        atoms = len(atom_supply(literals(e), free_vars(e), gamma,
+                                card)[0]) or 1
         base = well_defined_penrc(e, gamma)
         grown = brute_force_verdict(e, gamma, "welldef", card + 1, atoms + 1)
         assert base.result == grown.result, e
@@ -438,15 +448,18 @@ def test_verdicts_stable_under_enlarged_bounds():
 
 
 @pytest.mark.parametrize("form, counts", [
-    ("sing", {"free_vars": 330, "literals": 150, "complexity": 120}),
-    ("text", {"free_vars": 510, "literals": 240, "complexity": 210}),
+    ("sing", {"free_vars": 180, "literals": 150, "complexity": 150}),
+    ("text", {"free_vars": 270, "literals": 240, "complexity": 240}),
 ])
 def test_deep_pure_rx_translation_is_walked_once_per_node(
         monkeypatch, form, counts):
     """The translation of (sing e) and (text e) reaches the translation
     of e along two or four paths, so a pass that walks the DAG as a tree
     makes more than 2^30 calls at depth 30.  Walked once per node, the
-    recursive calls of each pass grow linearly with the depth."""
+    recursive calls of each pass grow linearly with the depth.  decide
+    makes each pass once; complexity also visits the subject of each
+    kind test (one call a level, found in its memo), so that it rejects
+    an emptiness test anywhere."""
     calls = dict.fromkeys(counts, 0)
     for module, name in [(nrcx.frontend, "free_vars"),
                          (nrcx.frontend, "literals"),

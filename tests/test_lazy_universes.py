@@ -101,3 +101,29 @@ def test_first_counterexample_draws_a_small_prefix(monkeypatch):
     assert verdict.bounds == {"card": 4, "atoms": 16, "examined": 3}
     assert count_values_upper(CollT(AtomT()), 4, 16) == 2517
     assert sum(drawn) == 3
+
+
+def test_value_count_precheck_refuses_before_drawing(monkeypatch):
+    # The sets of at most 4 pairs over 16 atoms number more than the
+    # default budget, so the count pre-check refuses the element
+    # universe of the outer set before a value is drawn.  Without the
+    # pre-check the enumerator drew over 10^6 values and yielded 352
+    # before it raised the same error (about 10 s and 430 MB on a
+    # 2-core machine); the eager reference, which builds universes
+    # whole, would hide that cost.
+    drawn = []
+    materialize = typeterms._materialize
+
+    def counting(stream, n):
+        values = materialize(stream, n)
+        drawn.append(len(values))
+        return values
+
+    monkeypatch.setattr(typeterms, "_materialize", counting)
+    t = parse_type(sread("(coll (coll (prod (atom) (atom))))"))
+    fresh = fresh_atoms(16)
+    with pytest.raises(EnumerationBudgetError, match=(
+            r"enumeration of \(coll \(prod \(atom\) \(atom\)\)\) exceeds "
+            r"budget 1000000")):
+        next(iter_canonical_values(t, 4, fresh, fresh, 0))
+    assert sum(drawn) == 0

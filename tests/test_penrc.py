@@ -1,7 +1,7 @@
 import pytest
 
 from nrcx.frontend import parse
-from nrcx.penrc import complexity, eval_penrc
+from nrcx.penrc import NonPenrcError, complexity, eval_penrc
 from nrcx.rx import Defined
 from nrcx.values import Atom, Pair, VSet, vset, EMPTY_SET
 
@@ -157,5 +157,7 @@ def test_complexity_exact_arithmetic():
 
 
 def test_complexity_rejects_emptiness_test():
-    with pytest.raises(ValueError):
-        C("(ifempty x y x)", 1)
+    for src in ("(ifempty x y x)", "(ifeq (ifempty x y x) x x x)",
+                "(ifkind (ifempty x y x) (kind-atom) x x)"):
+        with pytest.raises(NonPenrcError):
+            C(src, 1)

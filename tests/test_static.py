@@ -11,10 +11,11 @@ import random
 
 import pytest
 
+import nrcx.decide
 from nrcx.decide import (BudgetExceededError, atom_supply, decide,
                          satisfiable_penrc, typecheck_penrc,
                          well_defined_penrc)
-from nrcx.frontend import free_vars, parse, parse_type
+from nrcx.frontend import free_vars, literals, parse, parse_type
 from nrcx.penrc import complexity
 from nrcx.sexpr import read as sread
 from nrcx.static import certify
@@ -154,6 +155,28 @@ def test_step_budget_falls_back_to_the_search():
     assert well_defined_penrc(e, gamma).bounds["examined"] > 0
 
 
+def test_one_evaluation_tells_undefined_from_unproved_type(monkeypatch):
+    # None: e is not proved defined.  False: e is proved defined, but
+    # its outputs are not proved to be in tau, also when the subtype
+    # test spends the step budget.
+    gamma = G(x="(coll (atom))")
+    assert certify(P("(fst x)"), gamma, UNSAT) is None
+    assert certify(P("(for v x (empty))"), gamma, UNSAT) is False
+    assert certify(P("(for v x (empty))"), gamma) is True
+    big = "(prod " * 13 + "(sum (atom) (coll (atom)))" + \
+        " (sum (atom) (coll (atom))))" * 13
+    assert certify(P("(empty)"), {}, T(f"(coll {big})")) is False
+    # So decide searches only the type problem of a defined expression.
+    searched = []
+    search = nrcx.decide._search
+    monkeypatch.setattr(nrcx.decide, "_search",
+                        lambda *args: searched.append(args[2]) or
+                        search(*args))
+    v = typecheck_penrc(P("x"), G(x="(coll (sum (atom) (coll (atom))))"),
+                        T("(coll (atom))"))
+    assert v.result is False and searched == ["type"]
+
+
 # --- certified verdicts -----------------------------------------------------
 
 
@@ -184,7 +207,8 @@ def _confirm(e, gamma, mode, tau=None):
     if not certify(e, gamma, out):
         return 0
     card = complexity(e, 1 if out is None else max(type_complexity(out), 1))
-    n_atoms = len(atom_supply(e, gamma, card)[0]) or 1
+    n_atoms = len(atom_supply(literals(e), free_vars(e), gamma,
+                              card)[0]) or 1
     try:
         v = brute_force_verdict(e, gamma, mode, card, n_atoms, tau=tau,
                                 **SEARCH_OPTS)
