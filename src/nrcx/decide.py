@@ -102,8 +102,10 @@ def fresh_atoms(n: int):
 def atom_supply(lits, fv, gamma, card: int):
     """The literals lits of e plus enough fresh atoms to realize any
     witness: one per atom position available across the types gamma
-    gives e's free variables fv at cardinality card."""
-    n_fresh = sum(rank(gamma[x], card) for x in fv)
+    gives e's free variables fv at cardinality card.  The supply is
+    never empty: with no literal and no such position it is one fresh
+    atom."""
+    n_fresh = sum(rank(gamma[x], card) for x in fv) or (0 if lits else 1)
     fresh = [a for a in fresh_atoms(n_fresh) if a not in lits]
     return sorted(lits, key=sort_key) + fresh, fresh
 
@@ -257,9 +259,7 @@ def _domain_type(t, what, lang):
     when t is outside the language's type domain."""
     try:
         if lang == "pure-rx":
-            # TypeError outside the domain (ValueError, an error too,
-            # for set-based RX element types).
-            return translate_type(t)
+            return translate_type(t)  # TypeError outside the domain
         if is_nrc_type(t):
             return t
     except TypeError:
@@ -283,8 +283,6 @@ def _search(e, gamma, mode, tau, card, atoms, fresh, pure, options):
     PreconditionError).  The counterexample of a pure problem is
     decoded.  "sat" flips the result of the type check against
     coll(void)."""
-    if not atoms:
-        atoms, fresh = fresh_atoms(1), fresh_atoms(1)
     evaluate = compile_penrc(e)
 
     def failing(env):
@@ -353,7 +351,7 @@ def decide(e, gamma, mode, *, lang="penrc", tau=None, **options):
                 "counterexample: " + json.dumps(welldef.to_json()))
     atoms, fresh = atom_supply(lits, fv, gamma, card)
     if proved:
-        bounds = {"card": card, "atoms": len(atoms) or 1, "examined": 0}
+        bounds = {"card": card, "atoms": len(atoms), "examined": 0}
         return Verdict(mode != "sat", None, bounds)
     return _search(e, gamma, mode, tau, card, atoms, fresh, pure, options)
 

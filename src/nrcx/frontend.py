@@ -7,7 +7,8 @@ each expression language, and the conditions of ``cond``, are rows of
 a form table (``RX_FORMS``, ``COND_FORMS``, ``PENRC_FORMS``,
 ``RA_FORMS``) that drives parsing, printing, child traversal and
 rebuilding.  The RX sugar (``for*``, ``cond``) is expanded by
-``desugar`` and nowhere else.
+``desugar`` and nowhere else.  Types and kinds are read and printed
+from one table each (``TYPE_FORMS``, ``KIND_FORMS``).
 """
 
 from __future__ import annotations
@@ -149,18 +150,10 @@ class CNot:
 
 
 # ---------------------------------------------------------------------------
-# PENRC[kind] expressions (plus the full-NRC emptiness test NEmptyCond,
-# which the evaluator accepts but the decision procedures reject).
-
-
-@record
-class NVar:
-    name: str
-
-
-@record
-class NAtomLit:
-    atom: Atom
+# PENRC[kind] expressions.  The nested calculus shares six forms with
+# RX, one class each: Var, AtomLit, EmptySeq, Sing, IfEq and IfEmpty
+# (the full-NRC emptiness test, which the evaluator accepts but the
+# decision procedures reject).  The classes below are its own.
 
 
 @record
@@ -176,16 +169,6 @@ class NProj1:
 
 @record
 class NProj2:
-    body: object
-
-
-@record
-class NEmpty:
-    pass
-
-
-@record
-class NSing:
     body: object
 
 
@@ -208,24 +191,9 @@ class NComp:
 
 
 @record
-class NEqCond:
-    left: object
-    right: object
-    then: object
-    els: object
-
-
-@record
 class NKindCond:
     subject: object
     kind: object
-    then: object
-    els: object
-
-
-@record
-class NEmptyCond:
-    cond: object
     then: object
     els: object
 
@@ -311,7 +279,7 @@ def free_vars(e, memo=None) -> frozenset:
     if out is not None:
         return out
     cls = type(e)
-    if cls in (Var, NVar, Relation):
+    if cls in (Var, Relation):
         out = frozenset([e.name])
     elif cls in (For, NComp):
         out = (free_vars(e.source, memo)
@@ -337,7 +305,7 @@ def _children(e):
     form = _BY_CLASS.get(type(e))
     if form is not None:
         return form.children(e)
-    if isinstance(e, (Var, NVar)):
+    if type(e) is Var:
         return ()
     raise TypeError(f"not an expression: {e!r}")
 
@@ -359,7 +327,7 @@ def map_children(e, f):
             changed = changed or v is not old
             values.append(v)
         return form.cls(*values) if changed else e
-    if isinstance(e, (Var, NVar)):
+    if type(e) is Var:
         return e
     raise TypeError(f"not an expression: {e!r}")
 
@@ -371,7 +339,7 @@ def literals(e, memo=None) -> frozenset:
     out = memo.get(id(e))
     if out is not None:
         return out
-    if type(e) in (AtomLit, NAtomLit):
+    if type(e) is AtomLit:
         out = frozenset([e.atom])
     else:
         out = frozenset()
@@ -426,16 +394,13 @@ def seq_of(exprs):
 
 
 # ---------------------------------------------------------------------------
-# Type / kind concrete syntax.
+# Type / kind concrete syntax.  Each grammar is one table, head -> the
+# term class whose fields, in order, are the form's arguments.
 
-
-# The forms without arguments, by head; kind-any is sugar and prints
-# as the sum it stands for.
-_NULLARY_TYPES = {"atom": AtomT(), "data": DataT(), "void": VoidT()}
-_NULLARY_KINDS = {"kind-atom": KAtom(), "kind-data": KData(),
-                  "kind-elem": KElem(), "kind-coll": KColl()}
-_TYPE_HEADS = {type(t): h for h, t in _NULLARY_TYPES.items()}
-_KIND_HEADS = {type(k): h for h, k in _NULLARY_KINDS.items()}
+TYPE_FORMS = {"atom": AtomT, "data": DataT, "void": VoidT, "elem": ElemT,
+              "coll": CollT, "single": SingleT, "prod": ProdT, "sum": SumT}
+KIND_FORMS = {"kind-atom": KAtom, "kind-data": KData, "kind-elem": KElem,
+              "kind-coll": KColl, "kind-prod": KProd, "kind-sum": KSum}
 
 
 def _shown(sx):
@@ -444,82 +409,65 @@ def _shown(sx):
     return repr(text if len(text) <= 80 else text[:77] + "...")
 
 
-def _form_head(sx, what):
-    if isinstance(sx, str):
-        raise ParseError(f"expected a {what}, got symbol {sx!r}")
-    if not sx:
-        raise ParseError(f"empty {what} form")
-    return sx[0] if isinstance(sx[0], str) else None
+def _term_syntax(forms, what, sums, sugar_head, sugar):
+    """The reader and the printer of the grammar of `what` whose table
+    is forms.  A form reads as its head's class built from its
+    arguments, and a term prints as the head of its class (a subclass
+    as its base) and its fields; arguments are read and written by map,
+    so a level of nesting takes one stack frame.  A form without
+    arguments reads as one shared term.  The heads in sums read two or
+    more arguments as their sum, folded to the right by the class of
+    the first, the sum itself; the others put the sum in their one
+    field.  sugar_head, read without arguments, stands for the term
+    sugar, which prints as that head alone when the head is in forms;
+    otherwise it prints in full, and that full form is read back with
+    one comparison."""
+    sum_cls = forms[sums[0]]
+    shared = {h: cls() for h, cls in forms.items() if not cls._fields}
+    shared[sugar_head] = sugar
+    heads = {cls: h for h, cls in forms.items()}
+    heads.update({sub: h for cls, h in list(heads.items())
+                  for sub in cls.__subclasses__()})
+    short = type(sugar) if sugar_head in forms else None
+
+    def write(t):
+        head = heads.get(type(t))
+        if head is None:
+            raise TypeError(f"not a {what} term: {t!r}")
+        if type(t) is short and t == sugar:
+            return [head]
+        return [head, *map(write, (getattr(t, f) for f in t._fields))]
+
+    full = None if short else write(sugar)
+
+    def read(sx):
+        if sx == full:
+            return sugar
+        if isinstance(sx, str):
+            raise ParseError(f"expected a {what}, got symbol {sx!r}")
+        if not sx:
+            raise ParseError(f"empty {what} form")
+        head, n = sx[0], len(sx) - 1
+        if isinstance(head, str):
+            if n == 0 and head in shared:
+                return shared[head]
+            cls = forms.get(head)
+            if cls is not None and n == len(cls._fields):
+                return cls(*map(read, sx[1:]))
+            if n >= 2 and head in sums:
+                part = fold_right(sum_cls, list(map(read, sx[1:])))
+                return part if cls is sum_cls else cls(part)
+        raise ParseError(f"malformed {what} form {_shown(sx)}")
+
+    return read, write
 
 
-def parse_type(sx):
-    head = _form_head(sx, "type")
-    if head in _NULLARY_TYPES and len(sx) == 1:
-        return _NULLARY_TYPES[head]
-    if head == "elem":
-        if len(sx) == 1:
-            return ElemT(VoidT())
-        parts = [parse_type(p) for p in sx[1:]]
-        if len(parts) == 1 and isinstance(parts[0], (CollT, SingleT)):
-            return ElemT(parts[0])
-        return ElemT(fold_right(SumT, parts))
-    if head == "coll" and len(sx) == 2:
-        return CollT(parse_type(sx[1]))
-    if head == "single" and len(sx) == 2:
-        return SingleT(parse_type(sx[1]))
-    if head == "prod" and len(sx) == 3:
-        return ProdT(parse_type(sx[1]), parse_type(sx[2]))
-    if head == "sum" and len(sx) >= 3:
-        return fold_right(SumT, [parse_type(p) for p in sx[1:]])
-    raise ParseError(f"malformed type form {_shown(sx)}")
-
-
-def print_type(t):
-    if type(t) in _TYPE_HEADS:
-        return [_TYPE_HEADS[type(t)]]
-    if isinstance(t, ElemT):
-        if isinstance(t.content, VoidT):
-            return ["elem"]
-        return ["elem", print_type(t.content)]
-    if isinstance(t, CollT):
-        return ["coll", print_type(t.item)]
-    if isinstance(t, SingleT):
-        return ["single", print_type(t.item)]
-    if isinstance(t, ProdT):
-        return ["prod", print_type(t.left), print_type(t.right)]
-    if isinstance(t, SumT):
-        return ["sum", print_type(t.left), print_type(t.right)]
-    raise TypeError(f"not a type term: {t!r}")
-
-
-def parse_kind(sx):
-    if sx == _KIND_ANY_SX:
-        return KIND_ANY
-    head = _form_head(sx, "kind")
-    if head in _NULLARY_KINDS and len(sx) == 1:
-        return _NULLARY_KINDS[head]
-    if head == "kind-any" and len(sx) == 1:
-        return KIND_ANY
-    if head == "kind-prod" and len(sx) == 3:
-        return KProd(parse_kind(sx[1]), parse_kind(sx[2]))
-    if head == "kind-sum" and len(sx) >= 3:
-        return fold_right(KSum, [parse_kind(p) for p in sx[1:]])
-    raise ParseError(f"malformed kind form {_shown(sx)}")
-
-
-def print_kind(k):
-    if type(k) in _KIND_HEADS:
-        return [_KIND_HEADS[type(k)]]
-    if isinstance(k, KProd):
-        return ["kind-prod", print_kind(k.left), print_kind(k.right)]
-    if isinstance(k, KSum):
-        return ["kind-sum", print_kind(k.left), print_kind(k.right)]
-    raise TypeError(f"not a kind term: {k!r}")
-
-
-# kind-any as print_kind writes it, the commonest kind of the compiled
-# RA queries: read with one list comparison.
-_KIND_ANY_SX = print_kind(KIND_ANY)
+# (elem) is the element of no content, and kind-any the RX kind of
+# every item, the commonest kind of the compiled RA queries.
+parse_type, print_type = _term_syntax(TYPE_FORMS, "type", ("sum", "elem"),
+                                      "elem", ElemT(VoidT()))
+parse_kind, print_kind = _term_syntax(KIND_FORMS, "kind", ("kind-sum",),
+                                      "kind-any", KIND_ANY)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +519,7 @@ def _not_an_expression(e, texts, leaf):
     raise TypeError(f"not an expression: {e!r}")
 
 
-_WRITERS = _Writers({Var: _name, NVar: _name})
+_WRITERS = _Writers({Var: _name})
 
 
 def _writer(form):
@@ -625,7 +573,7 @@ def printed_length(e) -> int:
         n = lengths.get(id(e))
         if n is not None:
             return n
-        if type(e) in (Var, NVar):
+        if type(e) is Var:
             n = len(e.name)
         else:
             form = _BY_CLASS.get(type(e))
@@ -656,7 +604,8 @@ def printed_length(e) -> int:
 # each condition of cond, is one row: its head symbol, its AST class and
 # the shapes of its arguments in the order of the class's fields.  The
 # parser, the printer, _children, map_children and desugar read these
-# rows; docs/grammar.md describes the same forms.
+# rows; docs/grammar.md describes the same forms.  A class in two tables
+# (a form the nested calculus shares with RX) has the same row in both.
 
 
 @record
@@ -754,18 +703,18 @@ COND_FORMS = (
 )
 
 PENRC_FORMS = (
-    ("lit", NAtomLit, ATOM),
+    ("lit", AtomLit, ATOM),
     ("pair", NPair, EXPR, EXPR),
     ("fst", NProj1, EXPR),
     ("snd", NProj2, EXPR),
-    ("empty", NEmpty),
-    ("sing", NSing, EXPR),
+    ("empty", EmptySeq),
+    ("sing", Sing, EXPR),
     ("union", NUnion, EXPR, EXPR),
     ("flatten", NFlatten, EXPR),
     ("for", NComp, VAR, EXPR, EXPR),
-    ("ifeq", NEqCond, EXPR, EXPR, EXPR, EXPR),
+    ("ifeq", IfEq, EXPR, EXPR, EXPR, EXPR),
     ("ifkind", NKindCond, EXPR, KIND, EXPR, EXPR),
-    ("ifempty", NEmptyCond, EXPR, EXPR, EXPR),
+    ("ifempty", IfEmpty, EXPR, EXPR, EXPR),
 )
 
 RA_FORMS = (
@@ -896,7 +845,7 @@ def _require_pure_kind(k):
 
 def _build_nrc(sx):
     if isinstance(sx, str):
-        return NVar(sx)
+        return Var(sx)
     _head(sx)
     return _build_form(sx, _PENRC_HEADS, "unknown form", _build_nrc)
 

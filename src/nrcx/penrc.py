@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .frontend import (NAtomLit, NComp, NEmpty, NEmptyCond, NEqCond,
-                       NFlatten, NKindCond, NPair, NProj1, NProj2, NSing,
-                       NUnion, NVar)
+from .frontend import (AtomLit, EmptySeq, IfEmpty, IfEq, NComp, NFlatten,
+                       NKindCond, NPair, NProj1, NProj2, NUnion, Sing, Var)
 # The equality and emptiness tests, and their reason EQ_ON_NONATOM,
 # are those of pure RX.
 from .rx import (EQ_ON_NONATOM, Compiler, _Undef, _constant,  # noqa: F401
@@ -110,14 +109,15 @@ def _if_kind(c, e):
     return ifkind
 
 
-# NEmptyCond is the full-NRC extension; the decision procedures reject it.
+# The emptiness test IfEmpty is the full-NRC extension; the decision
+# procedures reject it.
 _PENRC = {
-    NVar: _var, NAtomLit: lambda c, e: _constant(e.atom), NPair: _pair,
+    Var: _var, AtomLit: lambda c, e: _constant(e.atom), NPair: _pair,
     NProj1: _unary(Pair, PROJ_ON_NONPAIR, attrgetter("fst")),
     NProj2: _unary(Pair, PROJ_ON_NONPAIR, attrgetter("snd")),
-    NEmpty: lambda c, e: _constant(EMPTY_SET), NSing: _sing, NUnion: _union,
-    NFlatten: _flatten, NComp: _comprehension, NEqCond: _eq_atoms,
-    NKindCond: _if_kind, NEmptyCond: _if_empty,
+    EmptySeq: lambda c, e: _constant(EMPTY_SET), Sing: _sing, NUnion: _union,
+    NFlatten: _flatten, NComp: _comprehension, IfEq: _eq_atoms,
+    NKindCond: _if_kind, IfEmpty: _if_empty,
 }
 
 
@@ -134,25 +134,25 @@ def complexity(e, k: int, memo=None) -> int:
     out = memo.get((id(e), k))
     if out is not None:
         return out
-    if isinstance(e, NVar):
+    if isinstance(e, Var):
         out = k
-    elif isinstance(e, (NEmpty, NAtomLit)):
+    elif isinstance(e, (EmptySeq, AtomLit)):
         out = 0
     elif isinstance(e, (NPair, NUnion)):
         out = complexity(e.left, k, memo) + complexity(e.right, k, memo)
     elif isinstance(e, (NProj1, NProj2, NFlatten)):
         out = complexity(e.body, k, memo)
-    elif isinstance(e, NSing):
+    elif isinstance(e, Sing):
         out = k * complexity(e.body, k, memo)
     elif isinstance(e, NComp):
         body = complexity(e.body, k, memo)
         out = complexity(e.source, max(k, body), memo) + k * body
-    elif isinstance(e, (NEqCond, NKindCond)):
-        for operand in ((e.left, e.right) if isinstance(e, NEqCond)
+    elif isinstance(e, (IfEq, NKindCond)):
+        for operand in ((e.left, e.right) if isinstance(e, IfEq)
                         else (e.subject,)):
             complexity(operand, k, memo)
         out = max(complexity(e.then, k, memo), complexity(e.els, k, memo))
-    elif isinstance(e, NEmptyCond):
+    elif isinstance(e, IfEmpty):
         raise NonPenrcError(
             "emptiness tests are outside the decidable fragment")
     else:

@@ -12,7 +12,7 @@ by one small ``exec`` when the class is first used.  Until then the
 class holds stubs: the first one called compiles the three methods,
 sets them on the class in its own place and calls its own, so every
 later call goes straight to the generated function.  nrcx defines some
-sixty records; ``import nrcx`` builds 17 of them and a check of the
+fifty-five records; ``import nrcx`` builds 17 of them and a check of the
 nested calculus fewer than half, so most classes are never compiled.
 The frontend's printers are compiled per row the same way."""
 

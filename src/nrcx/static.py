@@ -21,9 +21,8 @@ budget, says nothing, and the search decides.
 
 from __future__ import annotations
 
-from .frontend import (NAtomLit, NComp, NEmpty, NEqCond, NFlatten,
-                       NKindCond, NPair, NProj1, NProj2, NSing, NUnion, NVar,
-                       fold_right)
+from .frontend import (AtomLit, EmptySeq, IfEq, NComp, NFlatten, NKindCond,
+                       NPair, NProj1, NProj2, NUnion, Sing, Var, fold_right)
 from .penrc import (COMPREHENSION_ON_NONSET, EQ_ON_NONATOM,
                     FLATTEN_ON_NONSET, FLATTEN_ON_NONSET_OF_SETS,
                     PROJ_ON_NONPAIR, UNION_ON_NONSET)
@@ -174,7 +173,7 @@ def _if_kind(cert, e, env):
     out = ()
     for branch, admitted in ((e.then, True), (e.els, False)):
         part = tuple(c for c in cases if _admits(c, e.kind) == admitted)
-        if part and isinstance(e.subject, NVar) and part != cases:
+        if part and isinstance(e.subject, Var) and part != cases:
             out += cert.eval(branch, {**env, e.subject.name: part})
         elif part:  # a branch with no cases never runs
             out += cert.eval(branch, env)
@@ -183,11 +182,11 @@ def _if_kind(cert, e, env):
 
 # The emptiness test has no row: the decision procedures reject it.
 _STATIC = {
-    NVar: lambda cert, e, env: env[e.name],
-    NAtomLit: lambda cert, e, env: (AtomT(),), NPair: _pair,
+    Var: lambda cert, e, env: env[e.name],
+    AtomLit: lambda cert, e, env: (AtomT(),), NPair: _pair,
     NProj1: _proj("left"), NProj2: _proj("right"),
-    NEmpty: lambda cert, e, env: (CollT(VoidT()),),
-    NSing: lambda cert, e, env: _set_of(cert.eval(e.body, env)),
+    EmptySeq: lambda cert, e, env: (CollT(VoidT()),),
+    Sing: lambda cert, e, env: _set_of(cert.eval(e.body, env)),
     NUnion: _union, NFlatten: _flatten, NComp: _comprehension,
-    NEqCond: _if_eq, NKindCond: _if_kind,
+    IfEq: _if_eq, NKindCond: _if_kind,
 }

@@ -21,12 +21,11 @@ import itertools
 from . import sexpr
 from .frontend import (AtomLit, CAnd, CEq, CNot, COr, ChildrenF, CondIf,
                        DataF, Diff, Elem, EmptySeq, FD, For, IND, IfEmpty,
-                       IfEq, IfType, MultiFor, NAtomLit, NComp, NEmpty,
-                       NEqCond, NFlatten, NKindCond, NPair, NProj1, NProj2,
-                       NSing, NUnion, NVar, NameF, Product, Project,
-                       RaUnion, Relation, Rename, Select, Seq, Sing, Text,
-                       Var, desugar, fold_right, free_vars, map_children,
-                       print_kind, seq_of)
+                       IfEq, IfType, MultiFor, NComp, NFlatten, NKindCond,
+                       NPair, NProj1, NProj2, NUnion, NameF, Product,
+                       Project, RaUnion, Relation, Rename, Select, Seq, Sing,
+                       Text, Var, desugar, fold_right, free_vars,
+                       map_children, print_kind, seq_of)
 from .typeterms import (AtomT, CollT, DataEncT, DataT, ElemT, KAtom, KColl,
                         KData, KElem, KProd, KSum, KIND_ANY, ProdT, SingleT,
                         SumT, VoidT)
@@ -102,7 +101,7 @@ def _translate_item(t, nodes=False):
         return t
     if isinstance(t, ElemT):
         if isinstance(t.content, (CollT, SingleT)):
-            raise ValueError("set-based RX element types are not translatable")
+            raise TypeError("set-based RX element types are not translatable")
         return ProdT(AtomT(), CollT(_translate_item(t.content, True)))
     if isinstance(t, SumT):
         return SumT(_translate_item(t.left, nodes),
@@ -129,7 +128,7 @@ class NotPurePerxError(ValueError):
 
 def _guard(subject, kind, body):
     # e1 in k -> e2, i.e. become undefined unless the kind test passes.
-    return NKindCond(subject, kind, body, NProj1(NEmpty()))
+    return NKindCond(subject, kind, body, NProj1(EmptySeq()))
 
 
 def _fresh(avoid):
@@ -147,27 +146,25 @@ def translate_expr(e):
 
 
 def _tr(e, fresh):
-    if isinstance(e, Var):
-        return NVar(e.name)
-    if isinstance(e, AtomLit):
-        return NAtomLit(e.atom)
+    if isinstance(e, (Var, AtomLit, EmptySeq)):  # forms of both calculi
+        return e
     if isinstance(e, Text):
         b = _tr(e.body, fresh)
-        return _guard(b, KAtom(), NPair(NPair(b, b), NEmpty()))
+        return _guard(b, KAtom(), NPair(NPair(b, b), EmptySeq()))
     if isinstance(e, Elem):
         n = _tr(e.name_expr, fresh)
         c = _tr(e.content, fresh)
         x = fresh()
-        wrap = NKindCond(NVar(x), KAtom(),
-                         NPair(NPair(NVar(x), NVar(x)), NEmpty()), NVar(x))
+        wrap = NKindCond(Var(x), KAtom(),
+                         NPair(NPair(Var(x), Var(x)), EmptySeq()), Var(x))
         return _guard(n, KAtom(), NPair(n, NComp(x, c, wrap)))
     if isinstance(e, DataF):
         b = _tr(e.body, fresh)
         x = fresh()
-        body = NKindCond(NVar(x), K_DATA_ENC,
-                         NSing(NProj1(NProj1(NVar(x)))),
-                         NKindCond(NVar(x), KAtom(), NSing(NVar(x)),
-                                   NEmpty()))
+        body = NKindCond(Var(x), K_DATA_ENC,
+                         Sing(NProj1(NProj1(Var(x)))),
+                         NKindCond(Var(x), KAtom(), Sing(Var(x)),
+                                   EmptySeq()))
         return NFlatten(NComp(x, b, body))
     if isinstance(e, NameF):
         b = _tr(e.body, fresh)
@@ -175,12 +172,10 @@ def _tr(e, fresh):
     if isinstance(e, ChildrenF):
         b = _tr(e.body, fresh)
         x = fresh()
-        return NFlatten(NComp(x, b, NProj2(NVar(x))))
-    if isinstance(e, EmptySeq):
-        return NEmpty()
+        return NFlatten(NComp(x, b, NProj2(Var(x))))
     if isinstance(e, Sing):
         b = _tr(e.body, fresh)
-        return _guard(b, K_ITEM_ENC, NSing(b))
+        return _guard(b, K_ITEM_ENC, Sing(b))
     if isinstance(e, Seq):
         return NUnion(_tr(e.left, fresh), _tr(e.right, fresh))
     if isinstance(e, For):
@@ -188,10 +183,10 @@ def _tr(e, fresh):
         body = _tr(e.body, fresh)
         k = translate_kind(e.kind)
         return NFlatten(NComp(e.var, src,
-                              NKindCond(NVar(e.var), k, body, NEmpty())))
+                              NKindCond(Var(e.var), k, body, EmptySeq())))
     if isinstance(e, IfEq):
-        return NEqCond(_tr(e.left, fresh), _tr(e.right, fresh),
-                       _tr(e.then, fresh), _tr(e.els, fresh))
+        return IfEq(_tr(e.left, fresh), _tr(e.right, fresh),
+                    _tr(e.then, fresh), _tr(e.els, fresh))
     if isinstance(e, (IfEmpty, IfType)):
         raise NotPurePerxError(
             f"emptiness tests / type switches are not pure PERX: {e!r}")
@@ -515,11 +510,15 @@ def build_fd_id_reduction(sigma_deps, rho, arity, attrs=None):
     relations with the given attributes iff e1 and e2 agree (e1's output
     is contained in e2's) on every environment compatible with gamma.
     """
+    if arity < 1:
+        raise ValueError(f"arity must be at least 1, got {arity}")
     if attrs is None:
         attrs = tuple(f"A{i+1}" for i in range(arity))
     attrs = tuple(attrs)
     if len(attrs) != arity:
         raise ValueError("attribute list does not match arity")
+    if len(set(attrs)) != arity:
+        raise ValueError("attribute list repeats an attribute")
     for dep in list(sigma_deps) + [rho]:
         for a in dep.lhs + dep.rhs:
             if a not in attrs:

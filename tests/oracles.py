@@ -36,8 +36,8 @@ from nrcx.penrc import complexity, compile_penrc
 from nrcx.translate import (NotInImageError, dec, dec_env, enc, ra_schema,
                             translate_expr)
 from nrcx.frontend import (ATOM, ATTRS, BINDINGS, COND, EXPR, FD, IND, KIND,
-                           TYPE, Diff, NVar, Product, Project, RaUnion,
-                           Relation, Rename, Select, Var, _BY_CLASS,
+                           TYPE, Diff, Product, Project, RaUnion, Relation,
+                           Rename, Select, Var, _BY_CLASS,
                            free_vars, literals, print_kind, print_type)
 from nrcx.typeterms import (AtomT, CollT, DataEncT, DataT, ElemT, ProdT,
                             SingleT, SumT, VoidT, DEFAULT_VALUE_BUDGET,
@@ -119,8 +119,6 @@ def encoded_decide(e, gamma, mode, tau=None, **options):
     tau = None if tau is None else paper_type(tau)
     card = complexity(e, 1 if tau is None else max(type_complexity(tau), 1))
     atoms, fresh = atom_supply(literals(e), free_vars(e), gamma, card)
-    if not atoms:
-        atoms, fresh = fresh_atoms(1), fresh_atoms(1)
     evaluate = compile_penrc(e)
     reached = 0
     searching = True  # False once minimization has begun
@@ -470,7 +468,7 @@ def to_sexpr(e):
     """The s-expression of an expression, condition or dependency, built
     from its row of the form tables.  sexpr.write(to_sexpr(e)) is the
     text print_expr writes."""
-    if isinstance(e, (Var, NVar)):
+    if isinstance(e, Var):
         return e.name
     form = _BY_CLASS.get(type(e))
     if form is not None:

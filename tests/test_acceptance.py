@@ -402,7 +402,7 @@ def test_ac5_welldef_bounds_validated_on_corpus():
         (e, gamma), = _welldef_corpus(rng, 1)
         card = complexity(e, 1)
         n_atoms = len(atom_supply(literals(e), free_vars(e), gamma,
-                                  card)[0]) or 1
+                                  card)[0])
         try:
             derived = well_defined_penrc(e, gamma, **SEARCH_OPTS)
             enlarged = brute_force_verdict(e, gamma, "welldef", card + 1,
@@ -423,7 +423,7 @@ def test_ac5_typecheck_bounds_validated_on_corpus():
         k = type_complexity(tau)
         card = complexity(e, max(k, 1))
         n_atoms = len(atom_supply(literals(e), free_vars(e), gamma,
-                                  card)[0]) or 1
+                                  card)[0])
         try:
             if not well_defined_penrc(e, gamma, **SEARCH_OPTS).result:
                 with pytest.raises(PreconditionError):
@@ -674,8 +674,6 @@ def _direct_satisfiable(e, gamma):
     the procedure's own bounds yield output outside coll(void)?"""
     card = complexity(e, max(type_complexity(CollT(VoidT())), 1))
     atoms, _ = atom_supply(literals(e), free_vars(e), gamma, card)
-    if not atoms:
-        atoms = [A]
     names = sorted(gamma)
     domains = [enumerate_values(gamma[x], card, atoms) for x in names]
     for combo in itertools.product(*domains):

@@ -377,6 +377,20 @@ def test_check_pure_rx_type_outside_domain_exit_1(tmp_path, capsys):
                           "(prod (atom) (atom))\n")
 
 
+@pytest.mark.parametrize("gamma,tau,message", [
+    ("((x (elem (coll (data)))))", None,
+     "type of x is not a pure RX type: (elem (coll (data)))"),
+    ("((x (coll (atom))))", "(coll (elem (single (atom))))",
+     "output type is not a pure RX type: (coll (elem (single (atom))))"),
+])
+def test_check_pure_rx_set_based_element_type_exit_1(tmp_path, capsys,
+                                                     gamma, tau, message):
+    # Reported as every other type outside the pure RX domain is.
+    got = _check_x(tmp_path, capsys, "pure-rx",
+                   "welldef" if tau is None else "type", gamma, tau)
+    assert got == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command,depth", [("parse", 600), ("check", 3000)])
 def test_deep_nesting_exit_1(tmp_path, capsys, command, depth):
     expr = write(tmp_path, "e.sexpr",
@@ -395,6 +409,30 @@ def test_deep_rx_chain_prints(tmp_path, capsys):
     text = "(text " * depth + "(empty)" + ")" * depth
     got = run(capsys, "parse", write(tmp_path, "e.sexpr", text), "--lang", "rx")
     assert got == (0, text + "\n", "")
+
+
+@pytest.mark.parametrize("depth", [400, 700])
+@pytest.mark.parametrize("lang,form,chain,end", [
+    ("rx", "(iftype x {} x x)", "(coll ", "(atom)"),
+    ("penrc", "(ifkind x {} x x)", "(kind-sum (kind-atom) ", "(kind-coll)"),
+])
+def test_deep_type_and_kind_print_back(tmp_path, capsys, depth, lang, form,
+                                       chain, end):
+    # Types and kinds are read and printed at one stack frame a level:
+    # at two a level, neither would pass 500 levels.
+    text = form.format(chain * depth + end + ")" * depth)
+    got = run(capsys, "parse", write(tmp_path, "e.sexpr", text), "--lang", lang)
+    assert got == (0, text + "\n", "")
+
+
+def test_deep_gamma_type_checks(tmp_path, capsys):
+    depth = 400
+    gamma = write(tmp_path, "gamma.sexpr",
+                  "((x " + "(coll " * depth + "(atom)" + ")" * depth + "))")
+    code, _, err = run(capsys, "check", write(tmp_path, "e.sexpr", "x"),
+                       "--lang", "penrc", "--mode", "welldef",
+                       "--gamma", gamma)
+    assert (code, err) == (0, "")
 
 
 def test_deep_translation_prints(tmp_path, capsys):
@@ -734,6 +772,23 @@ def test_reduce_deps_attrs_must_be_symbols(tmp_path, capsys, attrs, bad):
                      "--attrs", "a,b", "--out-dir", str(outdir))
     assert code == 0
     parse((outdir / "e1.sexpr").read_text(), "rx")
+
+
+@pytest.mark.parametrize("rho_text,argv,message", [
+    ("(fd () ())", ["--arity", "0"], "arity must be at least 1, got 0"),
+    ("(fd () ())", ["--arity", "-1"], "arity must be at least 1, got -1"),
+    ("(fd (A) (A))", ["--arity", "2", "--attrs", "A,A"],
+     "attribute list repeats an attribute"),
+])
+def test_reduce_deps_checks_its_schema(tmp_path, capsys, rho_text, argv,
+                                       message):
+    # As compile-ra refuses a relation that repeats an attribute.
+    rho = write(tmp_path, "rho.sexpr", rho_text)
+    outdir = tmp_path / "red"
+    got = run(capsys, "reduce-deps", "--rho", rho, *argv,
+              "--out-dir", str(outdir))
+    assert got == (1, "", f"error: {message}\n")
+    assert not outdir.exists()
 
 
 # --- determinism -----------------------------------------------------------

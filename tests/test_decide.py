@@ -369,6 +369,17 @@ def test_atom_supply_counts_free_variable_ranks():
     assert len(fresh) == rank(T("(coll (atom))"), card)
 
 
+def test_atom_supply_is_never_empty():
+    # One fresh atom when e has no literal and the ranks sum to 0; none
+    # added when e has a literal.
+    gamma = {"x": T("(coll (void))")}
+    assert atom_supply(frozenset(), {"x"}, gamma, 2) == (fresh_atoms(1),
+                                                         fresh_atoms(1))
+    assert atom_supply({Atom("a")}, {"x"}, gamma, 2) == ([Atom("a")], [])
+    v = well_defined_penrc(P("x"), gamma)
+    assert v.bounds == {"card": 1, "atoms": 1, "examined": 0}
+
+
 def test_verdict_json_shape():
     v = well_defined_penrc(P("(fst x)"), {"x": T("(coll (atom))")})
     j = v.to_json()
@@ -406,7 +417,7 @@ def test_brute_force_agrees_with_derived_bounds_on_corpus():
         gamma = {v: T(rng.choice(GAMMA_POOL)) for v in sorted(free_vars(e))}
         card = complexity(e, 1)
         atoms = len(atom_supply(literals(e), free_vars(e), gamma,
-                                card)[0]) or 1
+                                card)[0])
         try:
             v1 = well_defined_penrc(e, gamma, max_envs=20000)
             v2 = brute_force_verdict(e, gamma, "welldef", card + 1,
@@ -438,7 +449,7 @@ def test_verdicts_stable_under_enlarged_bounds():
     for e, gamma in PROBLEMS:
         card = complexity(e, 1)
         atoms = len(atom_supply(literals(e), free_vars(e), gamma,
-                                card)[0]) or 1
+                                card)[0])
         base = well_defined_penrc(e, gamma)
         grown = brute_force_verdict(e, gamma, "welldef", card + 1, atoms + 1)
         assert base.result == grown.result, e

@@ -7,12 +7,10 @@ from hypothesis import given, settings, strategies as st
 from nrcx import frontend, sexpr
 from nrcx.sexpr import ParseError
 from nrcx.frontend import (AtomLit, CAnd, CEq, CNot, COr, ChildrenF, CondIf,
-                           Elem, EmptySeq, FD, For, IND, IfEq, MultiFor,
-                           NAtomLit, NComp, NEmpty, NEmptyCond, NEqCond,
-                           NFlatten, NKindCond, NPair, NProj1, NProj2, NSing,
-                           NUnion, NVar, NameF, Project, Relation, Select,
-                           Seq, Sing, Var,
-                           desugar, free_vars, literals, parse, parse_kind,
+                           Elem, EmptySeq, FD, For, IND, IfEmpty, IfEq,
+                           MultiFor, NComp, NFlatten, NKindCond, NPair,
+                           NProj1, NProj2, NUnion, NameF, Project, Relation,
+                           Select, Seq, Sing, Var, desugar, free_vars, literals, parse, parse_kind,
                            parse_type, print_expr, print_kind, print_type,
                            printed_length)
 from nrcx.typeterms import (AtomT, CollT, DataT, ElemT, KAtom, KColl, KData,
@@ -229,6 +227,22 @@ def test_malformed_sums_near_kind_any_rejected(text, message):
     assert str(err.value) == message
 
 
+def test_type_and_kind_tables_share_each_nullary_term():
+    from nrcx.typeterms import PAPER_DATA_T, DataEncT
+    for table, read in ((frontend.TYPE_FORMS, parse_type),
+                        (frontend.KIND_FORMS, parse_kind)):
+        for head, cls in table.items():
+            if not cls._fields:
+                assert read([head]) is read([head]) == cls()
+    assert parse_type(["elem"]) is parse_type(["elem"]) == ElemT(VoidT())
+    assert print_type(ElemT(VoidT())) == ["elem"]
+    assert print_type(DataEncT()) == print_type(PAPER_DATA_T)
+    with pytest.raises(TypeError, match="not a type term: KAtom"):
+        print_type(KAtom())
+    with pytest.raises(TypeError, match="not a kind term: AtomT"):
+        print_kind(AtomT())
+
+
 def test_malformed_types_rejected():
     for src in ["atom", "()", "(coll)", "(prod (atom))", "(sum (atom))",
                 "(wibble)"]:
@@ -241,14 +255,14 @@ def test_malformed_types_rejected():
 
 def test_parse_penrc_basic():
     assert parse("(fst (pair x y))", "penrc") == \
-        NProj1(NPair(NVar("x"), NVar("y")))
+        NProj1(NPair(Var("x"), Var("y")))
 
 
 def test_parse_penrc_nested_loop_body():
     got = parse("(for y x (ifeq z y (fst z) y))", "penrc")
-    assert got == NComp("y", NVar("x"),
-                        NEqCond(NVar("z"), NVar("y"),
-                                NProj1(NVar("z")), NVar("y")))
+    assert got == NComp("y", Var("x"),
+                        IfEq(Var("z"), Var("y"),
+                                NProj1(Var("z")), Var("y")))
 
 
 def test_parse_pure_rx_children():
@@ -403,26 +417,26 @@ def test_parse_print_round_trip_samples():
 
 def _random_penrc(rng, depth, vars_):
     if depth == 0:
-        return rng.choice([NVar(rng.choice(vars_)),
-                           NAtomLit(Atom(rng.choice("ab"))),
-                           NEmpty()])
+        return rng.choice([Var(rng.choice(vars_)),
+                           AtomLit(Atom(rng.choice("ab"))),
+                           EmptySeq()])
     sub = lambda: _random_penrc(rng, depth - 1, vars_)  # noqa: E731
     choice = rng.randrange(8)
     if choice == 0:
         return NPair(sub(), sub())
     if choice == 1:
-        return rng.choice([NProj1, NProj2, NSing, NFlatten])(sub())
+        return rng.choice([NProj1, NProj2, Sing, NFlatten])(sub())
     if choice == 2:
         return NUnion(sub(), sub())
     if choice == 3:
         return NComp("v", sub(), _random_penrc(rng, depth - 1,
                                                vars_ + ["v"]))
     if choice == 4:
-        return NEqCond(sub(), sub(), sub(), sub())
+        return IfEq(sub(), sub(), sub(), sub())
     if choice == 5:
         return NKindCond(sub(), KSum(KAtom(), KElem()), sub(), sub())
     if choice == 6:
-        return NEmptyCond(sub(), sub(), sub())
+        return IfEmpty(sub(), sub(), sub())
     return sub()
 
 
@@ -457,7 +471,7 @@ _LEAF_SAMPLES = {
 _EXPR_SAMPLES = {
     "rx": [Var("x"), EmptySeq(), ChildrenF(NameF(Var("y")))],
     "pure-rx": [Var("x"), EmptySeq(), Sing(Var("y"))],
-    "penrc": [NVar("x"), NEmpty(), NSing(NPair(NVar("x"), NVar("y")))],
+    "penrc": [Var("x"), EmptySeq(), Sing(NPair(Var("x"), Var("y")))],
     "ra": [Relation("R"), Project((), Relation("S")),
            Select("A", "B", Relation("R"))],
 }
@@ -489,6 +503,17 @@ def test_printer_matches_reference_on_every_row():
     assert len(rows) == len(frontend._BY_CLASS)
 
 
+def test_penrc_rows_shared_with_rx_are_the_rx_rows():
+    # Besides variables, the nested calculus shares five forms with RX:
+    # one class each, with one head and the same argument shapes.
+    rx = {row[1]: row for row in frontend.RX_FORMS}
+    shared = [row for row in frontend.PENRC_FORMS if row[1] in rx]
+    assert [row[1] for row in shared] == [AtomLit, EmptySeq, Sing, IfEq,
+                                          IfEmpty]
+    assert all(row == rx[row[1]] for row in shared)
+    assert parse("x", "penrc") == parse("x", "rx") == Var("x")
+
+
 def test_printer_writes_dependencies_as_reference():
     for dep, text in [(FD(("A",), ("B", "C")), "(fd (A) (B C))"),
                       (IND(("A", "B"), ("C", "D")), "(ind (A B) (C D))"),
@@ -505,7 +530,7 @@ def test_printer_writes_each_shared_node_once(monkeypatch):
         "(for x (kind-any) (children y) (ifeq (name x) (lit a) "
         "(sing (elem (lit b) (children x))) (sing x)))", "pure-rx"))
     for _ in range(4):
-        e = NUnion(e, NPair(e, NSing(e)))
+        e = NUnion(e, NPair(e, Sing(e)))
     nodes, stack = {}, [e]  # id -> node, every distinct node once
     while stack:
         n = stack.pop()
@@ -532,9 +557,9 @@ def test_printer_writes_each_shared_node_once(monkeypatch):
     text = print_expr(e)
     # Each distinct node's text is built once, so its writer is called
     # once per edge from a distinct parent (and once for the root).
-    compound = [n for n in nodes.values() if type(n) not in (Var, NVar)]
+    compound = [n for n in nodes.values() if type(n) is not Var]
     assert sorted(set(calls)) == sorted(map(id, compound))
-    assert len(calls) == 1 + sum(type(c) not in (Var, NVar) for n in compound
+    assert len(calls) == 1 + sum(type(c) is not Var for n in compound
                                  for c in frontend._children(n))
     assert text == sexpr.write(to_sexpr(e))
 
@@ -564,7 +589,7 @@ def test_printed_length_is_the_length_of_the_text():
                                   "pure-rx"))
     exprs = [e for _, e in _row_samples()]
     exprs += [FD(("A",), ("B", "C")), IND((), ()), Var("xyz"),
-              NUnion(shared, NPair(shared, NSing(shared))),
+              NUnion(shared, NPair(shared, Sing(shared))),
               parse("(text " * 400 + "(empty)" + ")" * 400, "rx")]
     exprs += [compile_ra(q, RA_SCHEMA)[0] for q in _ra_exprs(2)[::20]]
     for e in exprs:
@@ -589,7 +614,7 @@ def test_printed_length_counts_each_shared_node_once(monkeypatch):
     nodes, stack = set(), [e]
     while stack:
         n = stack.pop()
-        if id(n) not in nodes and type(n) is not NVar:
+        if id(n) not in nodes and type(n) is not Var:
             nodes.add(id(n))
             stack.extend(frontend._children(n))
     monkeypatch.setattr(frontend, "_BY_CLASS", Rows(frontend._BY_CLASS))

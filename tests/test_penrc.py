@@ -25,6 +25,17 @@ def test_projection_on_nonpair_undefined():
     assert not out.is_defined and out.reason == "proj-on-nonpair"
 
 
+def test_shared_sing_keeps_each_languages_meaning():
+    # One Sing class: the nested calculus takes any value, pure RX
+    # items only.
+    from nrcx.rx import eval_pure_rx
+    e = parse("(sing x)", "penrc")
+    assert e == parse("(sing x)", "pure-rx")
+    assert eval_penrc(e, {"x": EMPTY_SET}) == Defined(vset(EMPTY_SET))
+    out = eval_pure_rx(e, {"x": EMPTY_SET})
+    assert not out.is_defined and out.reason == "singleton-of-nonitem"
+
+
 def test_sing_union_flatten():
     assert ev("(sing x)", {"x": a}) == Defined(vset(a))
     assert ev("(union x y)", {"x": vset(a), "y": vset(b)}) == \

@@ -14,7 +14,7 @@ import pytest
 
 import nrcx.cli  # noqa: F401  (imports every module of the package)
 from nrcx.decide import Verdict
-from nrcx.frontend import IND, For, NVar, Var
+from nrcx.frontend import IND, For, NProj1, NProj2, Var
 from nrcx.record import record
 from nrcx.rx import OracleSuite, Undefined
 from nrcx.typeterms import PAPER_DATA_T, DataEncT, KAtom
@@ -41,14 +41,15 @@ def test_record_classes_are_found():
     names = {cls.__qualname__ for cls in RECORD_CLASSES}
     assert {"For", "NComp", "IND", "SumT", "DataEncT", "KSum", "Undefined",
             "OracleSuite", "Verdict", "Shape", "_Form"} <= names
-    assert len(names) >= 63
+    assert len(names) >= 57
 
 
 def test_equality_requires_the_exact_class():
     assert DataEncT() != PAPER_DATA_T and PAPER_DATA_T != DataEncT()
     assert hash(DataEncT()) == hash(PAPER_DATA_T)
     assert DataEncT() == DataEncT()
-    assert Var("x") != NVar("x") and hash(Var("x")) == hash(NVar("x"))
+    assert NProj1(Var("x")) != NProj2(Var("x"))
+    assert hash(NProj1(Var("x"))) == hash(NProj2(Var("x")))
     assert Var("x") != "x"
 
 

@@ -208,7 +208,7 @@ def _confirm(e, gamma, mode, tau=None):
         return 0
     card = complexity(e, 1 if out is None else max(type_complexity(out), 1))
     n_atoms = len(atom_supply(literals(e), free_vars(e), gamma,
-                              card)[0]) or 1
+                              card)[0])
     try:
         v = brute_force_verdict(e, gamma, mode, card, n_atoms, tau=tau,
                                 **SEARCH_OPTS)

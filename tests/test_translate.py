@@ -154,23 +154,23 @@ def _agree(src, env):
 
 def test_translate_children_shape():
     got = translate_expr(parse("(children x)", "pure-rx"))
-    from nrcx.frontend import NFlatten, NComp, NProj2, NVar
+    from nrcx.frontend import NFlatten, NComp, NProj2, Var
     assert isinstance(got, NFlatten)
     assert isinstance(got.body, NComp)
-    assert got.body.source == NVar("x")
-    assert got.body.body == NProj2(NVar(got.body.var))
+    assert got.body.source == Var("x")
+    assert got.body.body == NProj2(Var(got.body.var))
 
 
 def test_translate_empty():
-    from nrcx.frontend import NEmpty
-    assert translate_expr(parse("(empty)", "pure-rx")) == NEmpty()
+    from nrcx.frontend import EmptySeq
+    assert translate_expr(parse("(empty)", "pure-rx")) == EmptySeq()
 
 
 def test_translate_name_guard_shape():
-    from nrcx.frontend import NKindCond, NProj1, NVar
+    from nrcx.frontend import EmptySeq, NKindCond, NProj1, Var
     got = translate_expr(parse("(name x)", "pure-rx"))
-    assert got == NKindCond(NProj1(NVar("x")), KAtom(), NProj1(NVar("x")),
-                            NProj1(__import__("nrcx").frontend.NEmpty()))
+    assert got == NKindCond(NProj1(Var("x")), KAtom(), NProj1(Var("x")),
+                            NProj1(EmptySeq()))
 
 
 def test_translation_agreement_on_samples():
