@@ -25,13 +25,13 @@ from .decide import (BudgetExceededError, DEFAULT_MAX_ENVS, DEFAULT_TIMEOUT,
 from .decide import (satisfiable_penrc, typecheck_penrc,  # noqa: F401
                      typecheck_pure_rx, well_defined_penrc,
                      well_defined_pure_rx)
-from .frontend import (_build_dep, free_vars, parse, parse_type, print_expr,
-                       print_type, printed_length)
+from .frontend import free_vars  # noqa: F401
+from .frontend import (_build_dep, parse, parse_type, print_expr, print_type,
+                       printed_length)
 from .rx import ORACLE_SUITES, eval_pure_rx, eval_rx
 from .penrc import eval_penrc
 from .translate import build_fd_id_reduction, compile_ra, translate_expr
-from .values import (env_from_json, is_nrc_value, is_pure_rx_value,
-                     is_rx_value, value_to_json)
+from .values import env_from_json, value_to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -147,25 +147,9 @@ def cmd_parse(args):
     return EXIT_OK
 
 
-# Each language's value domain for bindings, and how to name it.
-VALUE_DOMAINS = {
-    "rx": (is_rx_value, "an RX value (a set of items)"),
-    "pure-rx": (is_pure_rx_value,
-                "a pure RX value (an item or a set of items)"),
-    "penrc": (is_nrc_value, "an NRC value (atoms, pairs and sets)"),
-}
-
-
 def cmd_eval(args):
     e = _load_expr(args.expr, args.lang)
     env = _load_env(args.env)
-    missing = free_vars(e) - set(env)
-    if missing:
-        raise CliError(f"unbound variables: {', '.join(sorted(missing))}")
-    is_value, domain = VALUE_DOMAINS[args.lang]
-    for x in sorted(env):
-        if not is_value(env[x]):
-            raise CliError(f"binding {x} is not {domain}")
     if args.lang == "rx":
         out = eval_rx(e, env, ORACLE_SUITES[args.oracle])
     elif args.lang == "pure-rx":
@@ -333,9 +317,6 @@ def main(argv=None):
         return EXIT_BUDGET
     except (CliError, ValueError) as exc:  # every library error too
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except KeyError as exc:
-        print(f"error: missing binding {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
         print("error: expression nested too deeply", file=sys.stderr)

@@ -114,23 +114,22 @@ def atom_supply(lits, fv, gamma, card: int):
 # Environment enumeration.
 
 
-def iter_environments(gamma, card, atoms, *, prune=True, fresh=(),
+def iter_environments(gamma, card, atoms, *, fresh=(),
                       budget=DEFAULT_MAX_ENVS, deadline=None):
     """Stream environments compatible with gamma, sets of cardinality
     <= card, atoms drawn from `atoms`; variables in sorted order, values
     in canonical order (depth-first, so early environments are small).
 
-    With pruning on, environments that merely rename the fresh atoms of
-    an earlier one are never built: the fresh atoms must make their
-    first appearances in supply order, reading the variables' values in
-    sorted order of names.  iter_canonical_values applies that rule
-    inside each value and returns the count of fresh atoms seen, which
-    the next variable starts from.  The deadline (time.monotonic
-    seconds) is checked every 1024 values drawn for a variable.
+    Environments that merely rename the fresh atoms (fresh, a part of
+    atoms) of an earlier one are never built: the fresh atoms must make
+    their first appearances in supply order, reading the variables'
+    values in sorted order of names.  iter_canonical_values applies
+    that rule inside each value and returns the count of fresh atoms
+    seen, which the next variable starts from.  With fresh empty,
+    nothing is pruned.  The deadline (time.monotonic seconds) is
+    checked every 1024 values drawn for a variable.
     """
     names = sorted(gamma)
-    if not prune:
-        fresh = ()
 
     def rec(i, env, seen):
         if i == len(names):
@@ -219,8 +218,7 @@ def minimize_counterexample(env, failing, budget=DEFAULT_MINIMIZE_BUDGET):
 
 
 def search_counterexample(failing, gamma, card, atoms, *, fresh=(),
-                          prune=True, max_envs=DEFAULT_MAX_ENVS,
-                          timeout=DEFAULT_TIMEOUT):
+                          max_envs=DEFAULT_MAX_ENVS, timeout=DEFAULT_TIMEOUT):
     """Search environments compatible with gamma for one on which
     `failing` holds, and minimize it.  Returns a Verdict; raises
     BudgetExceededError when the space cannot be covered within max_envs
@@ -230,9 +228,8 @@ def search_counterexample(failing, gamma, card, atoms, *, fresh=(),
     examined = 0
     bounds = {"card": card, "atoms": len(atoms), "examined": 0}
     try:
-        for env in iter_environments(gamma, card, atoms, prune=prune,
-                                     fresh=fresh, budget=max_envs,
-                                     deadline=deadline):
+        for env in iter_environments(gamma, card, atoms, fresh=fresh,
+                                     budget=max_envs, deadline=deadline):
             examined += 1
             bounds["examined"] = examined
             if examined > max_envs:
@@ -306,7 +303,8 @@ def _search(e, gamma, mode, tau, card, atoms, fresh, pure, options):
 # The three decision problems, for the nested calculus and pure RX.
 
 
-def decide(e, gamma, mode, *, lang="penrc", tau=None, **options):
+def decide(e, gamma, mode, *, lang="penrc", tau=None, prune=True,
+           **options):
     """Decide one problem of e under gamma, statically or by the search.
 
     "welldef": is e defined on every compatible environment?  A False
@@ -318,7 +316,7 @@ def decide(e, gamma, mode, *, lang="penrc", tau=None, **options):
     PreconditionError, with the welldef counterexample, when e is not
     well defined; so does every mode on a type outside lang's domain.
     lang "pure-rx" decides the encoded problem and reports pure RX
-    environments.
+    environments.  prune=False turns off the search's symmetry pruning.
     """
     tau = _output_type(mode, tau)
     if lang not in TYPE_DOMAINS:
@@ -339,17 +337,22 @@ def decide(e, gamma, mode, *, lang="penrc", tau=None, **options):
             f"free variables without declared types: {sorted(missing)}")
     proved = certify(e, gamma, tau)
     lits = literals(e)
+
+    def supply(card):  # the atoms, and the fresh ones that pruning renames
+        atoms, fresh = atom_supply(lits, fv, gamma, card)
+        return atoms, fresh if prune else ()
+
     if proved is None and tau is not None:
         # Without a certificate of definedness, the precondition is
         # decided before the type search.
         card1 = card if k == 1 else complexity(e, 1)
         welldef = _search(e, gamma, "welldef", None, card1,
-                          *atom_supply(lits, fv, gamma, card1), pure, options)
+                          *supply(card1), pure, options)
         if not welldef.result:
             raise PreconditionError(
                 "precondition failed: expression is not well defined; "
                 "counterexample: " + json.dumps(welldef.to_json()))
-    atoms, fresh = atom_supply(lits, fv, gamma, card)
+    atoms, fresh = supply(card)
     if proved:
         bounds = {"card": card, "atoms": len(atoms), "examined": 0}
         return Verdict(mode != "sat", None, bounds)

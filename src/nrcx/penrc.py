@@ -2,9 +2,9 @@
 tests, and the k-complexity measure used by the decision procedures.
 
 ``compile_penrc`` compiles an expression once into a tree of closures
-(see ``rx.Compiler``); ``eval_penrc`` runs it on one environment, and
-the decision procedures run one compiled program on every environment
-they examine."""
+(see ``rx.Compiler``); ``eval_penrc`` checks one environment and runs
+it there, and the decision procedures run one program on each of the
+environments of Γ that they examine."""
 
 from __future__ import annotations
 
@@ -15,9 +15,9 @@ from .frontend import (AtomLit, EmptySeq, IfEmpty, IfEq, NComp, NFlatten,
 # The equality and emptiness tests, and their reason EQ_ON_NONATOM,
 # are those of pure RX.
 from .rx import (EQ_ON_NONATOM, Compiler, _Undef, _constant,  # noqa: F401
-                 _eq_atoms, _if_empty, _unary, _var)
+                 _eq_atoms, _if_empty, _run_checked, _unary, _var)
 from .typeterms import kind_member
-from .values import EMPTY_SET, Pair, VSet, vset
+from .values import EMPTY_SET, Pair, VSet, is_nrc_value, vset
 
 PROJ_ON_NONPAIR = "proj-on-nonpair"
 UNION_ON_NONSET = "union-on-nonset"
@@ -37,9 +37,11 @@ def compile_penrc(e):
 
 
 def eval_penrc(e, sigma):
-    """Evaluate e under sigma; returns Defined(value) or
-    Undefined(reason, failing subexpression)."""
-    return compile_penrc(e)(sigma)
+    """Defined(value) or Undefined(reason, failing subexpression) of e
+    under sigma; ValueError unless sigma binds e's free variables, and
+    every name to an NRC value."""
+    return _run_checked(compile_penrc(e), sigma, is_nrc_value,
+                        "an NRC value (atoms, pairs and sets)")
 
 
 def _pair(c, e):

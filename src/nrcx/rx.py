@@ -15,7 +15,9 @@ compile the desugared expression once into a tree of closures: a
 table (``_RX``, ``_PURE``; ``penrc`` has its own), and resolves every
 variable to a slot of a register list.  The program that results maps
 an environment to an outcome, and ``eval_rx`` / ``eval_pure_rx`` run it
-once.
+once, after checking that the environment binds each of its free
+variables, and each name to a value of the calculus (ValueError
+otherwise).
 
 The set-based RX ``for`` is compiled with two rewrites that move work
 out of loops (Wong's filter promotion for NRC normal forms, applied to
@@ -64,7 +66,8 @@ from .frontend import (AtomLit, ChildrenF, DataF, Elem, EmptySeq, For,
                        desugar, free_vars)
 from .record import record
 from .typeterms import kind_filter, kind_member, member
-from .values import EMPTY_SET, Atom, DataNode, ElemNode, VSet, vset
+from .values import (EMPTY_SET, Atom, DataNode, ElemNode, VSet,
+                     is_pure_rx_value, is_rx_value, vset)
 
 
 # Reason codes for undefined outcomes.
@@ -109,11 +112,6 @@ class _Undef(Exception):
     def __init__(self, reason, expr=None):
         self.reason = reason
         self.expr = expr
-
-
-# The value of a free variable that the environment does not bind; its
-# closure raises KeyError only when it is evaluated.
-_UNBOUND = object()
 
 
 class Compiler:
@@ -188,17 +186,11 @@ class Compiler:
         if bound is not None:
             slot, bit = bound
             self._reads |= bit
-            return lambda r: r[slot]
-        slot = self.free.get(name)
-        if slot is None:
-            slot = self.free[name] = self._slot()
-
-        def free_var(r):
-            v = r[slot]
-            if v is _UNBOUND:
-                raise KeyError(name)
-            return v
-        return free_var
+        else:
+            slot = self.free.get(name)
+            if slot is None:
+                slot = self.free[name] = self._slot()
+        return lambda r: r[slot]
 
     def free_vars(self, e):
         return free_vars(e, self._free_vars)
@@ -228,19 +220,35 @@ class Compiler:
         return self.n_slots - 1
 
     def program(self, e):
-        """The evaluator of e: environment -> EvalOutcome."""
+        """The evaluator of e: environment -> EvalOutcome.  Its
+        attribute ``free`` holds the free variables of e, each of which
+        the environment must bind."""
         root = self.expr(e)
         n, free = self.n_slots, tuple(self.free.items())
 
         def run(sigma):
             r = [None] * n
             for name, slot in free:
-                r[slot] = sigma[name] if name in sigma else _UNBOUND
+                r[slot] = sigma[name]
             try:
                 return Defined(root(r))
             except _Undef as u:
                 return Undefined(u.reason, u.expr)
+        run.free = frozenset(self.free)
         return run
+
+
+def _run_checked(program, sigma, is_value, domain):
+    """program(sigma), once sigma binds every free variable of the
+    program and binds each name to a value (is_value) of the domain;
+    ValueError otherwise."""
+    missing = program.free.difference(sigma)
+    if missing:
+        raise ValueError(f"unbound variables: {', '.join(sorted(missing))}")
+    for x in sorted(sigma):
+        if not is_value(sigma[x]):
+            raise ValueError(f"binding {x} is not {domain}")
+    return program(sigma)
 
 
 def _var(c, e):
@@ -377,7 +385,8 @@ def compile_rx(e, oracles: OracleSuite = DEFAULT_ORACLES):
 
 
 def eval_rx(e, sigma, oracles: OracleSuite = DEFAULT_ORACLES) -> EvalOutcome:
-    return compile_rx(e, oracles)(sigma)
+    return _run_checked(compile_rx(e, oracles), sigma, is_rx_value,
+                        "an RX value (a set of items)")
 
 
 def _rx_text(c, e):
@@ -571,7 +580,8 @@ def compile_pure_rx(e):
 
 
 def eval_pure_rx(e, sigma) -> EvalOutcome:
-    return compile_pure_rx(e)(sigma)
+    return _run_checked(compile_pure_rx(e), sigma, is_pure_rx_value,
+                        "a pure RX value (an item or a set of items)")
 
 
 def _require_set(v, reason, expr):

@@ -139,58 +139,65 @@ def _fresh(avoid):
 
 def translate_expr(e):
     """Pure PERX expression -> nested expression (the thirteen-clause
-    table); rejects emptiness tests and type switches."""
+    table); rejects emptiness tests and type switches.  A node that
+    desugaring shares (the branches of cond) is translated once."""
     e = desugar(e)
     fresh = _fresh(free_vars(e))
-    return _tr(e, fresh)
+    return _tr(e, fresh, {})
 
 
-def _tr(e, fresh):
+def _tr(e, fresh, memo):  # memo: id of a node -> its translation
     if isinstance(e, (Var, AtomLit, EmptySeq)):  # forms of both calculi
         return e
+    out = memo.get(id(e))
+    if out is not None:
+        return out
     if isinstance(e, Text):
-        b = _tr(e.body, fresh)
-        return _guard(b, KAtom(), NPair(NPair(b, b), EmptySeq()))
-    if isinstance(e, Elem):
-        n = _tr(e.name_expr, fresh)
-        c = _tr(e.content, fresh)
+        b = _tr(e.body, fresh, memo)
+        out = _guard(b, KAtom(), NPair(NPair(b, b), EmptySeq()))
+    elif isinstance(e, Elem):
+        n = _tr(e.name_expr, fresh, memo)
+        c = _tr(e.content, fresh, memo)
         x = fresh()
         wrap = NKindCond(Var(x), KAtom(),
                          NPair(NPair(Var(x), Var(x)), EmptySeq()), Var(x))
-        return _guard(n, KAtom(), NPair(n, NComp(x, c, wrap)))
-    if isinstance(e, DataF):
-        b = _tr(e.body, fresh)
+        out = _guard(n, KAtom(), NPair(n, NComp(x, c, wrap)))
+    elif isinstance(e, DataF):
+        b = _tr(e.body, fresh, memo)
         x = fresh()
         body = NKindCond(Var(x), K_DATA_ENC,
                          Sing(NProj1(NProj1(Var(x)))),
                          NKindCond(Var(x), KAtom(), Sing(Var(x)),
                                    EmptySeq()))
-        return NFlatten(NComp(x, b, body))
-    if isinstance(e, NameF):
-        b = _tr(e.body, fresh)
-        return _guard(NProj1(b), KAtom(), NProj1(b))
-    if isinstance(e, ChildrenF):
-        b = _tr(e.body, fresh)
+        out = NFlatten(NComp(x, b, body))
+    elif isinstance(e, NameF):
+        b = _tr(e.body, fresh, memo)
+        out = _guard(NProj1(b), KAtom(), NProj1(b))
+    elif isinstance(e, ChildrenF):
+        b = _tr(e.body, fresh, memo)
         x = fresh()
-        return NFlatten(NComp(x, b, NProj2(Var(x))))
-    if isinstance(e, Sing):
-        b = _tr(e.body, fresh)
-        return _guard(b, K_ITEM_ENC, Sing(b))
-    if isinstance(e, Seq):
-        return NUnion(_tr(e.left, fresh), _tr(e.right, fresh))
-    if isinstance(e, For):
-        src = _tr(e.source, fresh)
-        body = _tr(e.body, fresh)
+        out = NFlatten(NComp(x, b, NProj2(Var(x))))
+    elif isinstance(e, Sing):
+        b = _tr(e.body, fresh, memo)
+        out = _guard(b, K_ITEM_ENC, Sing(b))
+    elif isinstance(e, Seq):
+        out = NUnion(_tr(e.left, fresh, memo), _tr(e.right, fresh, memo))
+    elif isinstance(e, For):
+        src = _tr(e.source, fresh, memo)
+        body = _tr(e.body, fresh, memo)
         k = translate_kind(e.kind)
-        return NFlatten(NComp(e.var, src,
-                              NKindCond(Var(e.var), k, body, EmptySeq())))
-    if isinstance(e, IfEq):
-        return IfEq(_tr(e.left, fresh), _tr(e.right, fresh),
-                    _tr(e.then, fresh), _tr(e.els, fresh))
-    if isinstance(e, (IfEmpty, IfType)):
+        out = NFlatten(NComp(e.var, src,
+                             NKindCond(Var(e.var), k, body, EmptySeq())))
+    elif isinstance(e, IfEq):
+        out = IfEq(_tr(e.left, fresh, memo), _tr(e.right, fresh, memo),
+                   _tr(e.then, fresh, memo), _tr(e.els, fresh, memo))
+    elif isinstance(e, (IfEmpty, IfType)):
         raise NotPurePerxError(
             f"emptiness tests / type switches are not pure PERX: {e!r}")
-    raise NotPurePerxError(f"not a pure PERX expression: {e!r}")
+    else:
+        raise NotPurePerxError(f"not a pure PERX expression: {e!r}")
+    memo[id(e)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -146,12 +146,6 @@ class VSet(_Value):
     def __contains__(self, v):
         return v in self.elems
 
-    def __eq__(self, other):
-        return isinstance(other, VSet) and (self is other
-                                            or self._key == other._key)
-
-    __hash__ = _Value.__hash__
-
     def __repr__(self):
         return "VSet({%s})" % ", ".join(repr(e) for e in self.elems)
 

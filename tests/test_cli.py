@@ -82,6 +82,21 @@ def test_eval_missing_binding_exit_1(tmp_path, capsys):
     assert "y" in err
 
 
+def test_eval_names_unbound_variables_before_checking_bindings(tmp_path,
+                                                                capsys):
+    # y is unbound even though its branch does not run, and the unbound
+    # names are reported before the out-of-domain binding z.
+    expr = write(tmp_path, "e.sexpr",
+                 "(seq (ifeq (lit a) (lit b) y (empty)) x)")
+    env = write(tmp_path, "env.json", "{}")
+    got = run(capsys, "eval", expr, env, "--lang", "pure-rx")
+    assert got == (1, "", "error: unbound variables: x, y\n")
+    env = write(tmp_path, "env.json", json.dumps(
+        {"x": {"atom": "a"}, "z": {"pair": [{"atom": "a"}, {"atom": "b"}]}}))
+    got = run(capsys, "eval", expr, env, "--lang", "pure-rx")
+    assert got == (1, "", "error: unbound variables: y\n")
+
+
 def test_eval_parse_error_exit_1(tmp_path, capsys):
     expr = write(tmp_path, "e.sexpr", "(seq x")
     env = write(tmp_path, "env.json", "{}")

@@ -266,7 +266,7 @@ def test_pure_rx_counterexamples_are_pure_values():
 def test_iter_environments_exhaustive_without_pruning():
     gamma = {"x": T("(coll (atom))")}
     a, b = Atom("a"), Atom("b")
-    envs = list(iter_environments(gamma, 2, [a, b], prune=False))
+    envs = list(iter_environments(gamma, 2, [a, b]))
     assert [e["x"] for e in envs] == [EMPTY_SET, vset(a), vset(a, b), vset(b)]
 
 
@@ -276,8 +276,7 @@ def test_pruning_respects_fresh_atom_symmetry():
     pruned = list(iter_environments(gamma, 1, fresh, fresh=fresh))
     # All fresh environments are equivalent up to renaming: one survives.
     assert pruned == [{"x": fresh[0]}]
-    unpruned = list(iter_environments(gamma, 1, fresh, fresh=fresh,
-                                      prune=False))
+    unpruned = list(iter_environments(gamma, 1, fresh))
     assert len(unpruned) == 3
 
 

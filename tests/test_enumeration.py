@@ -98,7 +98,7 @@ def test_pruned_enumeration_matches_reference_filter(i):
         if not atoms:
             continue
         unpruned = list(itertools.islice(
-            iter_environments(gamma, card, atoms, prune=False), CAP + 1))
+            iter_environments(gamma, card, atoms), CAP + 1))
         complete = len(unpruned) <= CAP
         for prune in (True, False):
             fresh_index = {a: j for j, a in enumerate(fresh)} if prune else {}
@@ -106,8 +106,8 @@ def test_pruned_enumeration_matches_reference_filter(i):
                         if reference_keeps(env, fresh_index)]
             # A complete stream must also end where the reference does.
             got = list(itertools.islice(
-                iter_environments(gamma, card, atoms, prune=prune,
-                                  fresh=fresh),
+                iter_environments(gamma, card, atoms,
+                                  fresh=fresh if prune else ()),
                 len(expected) + complete))
             assert got == expected, (gamma, card, atoms, prune)
 
@@ -126,12 +126,12 @@ def test_translated_stream_is_paper_stream_on_image(i):
         translated = {x: translate_type(s) for x, s in gamma.items()}
         for prune in (True, False):
             stream = list(itertools.islice(
-                iter_environments(paper, card, atoms, prune=prune,
-                                  fresh=fresh), CAP + 1))
+                iter_environments(paper, card, atoms,
+                                  fresh=fresh if prune else ()), CAP + 1))
             complete = len(stream) <= CAP
             expected = [env for env in stream[:CAP] if on_image(env)]
             got = list(itertools.islice(
-                iter_environments(translated, card, atoms, prune=prune,
-                                  fresh=fresh),
+                iter_environments(translated, card, atoms,
+                                  fresh=fresh if prune else ()),
                 len(expected) + complete))
             assert got == expected, (gamma, card, atoms, prune)

@@ -3,7 +3,7 @@ import pytest
 from nrcx.frontend import parse
 from nrcx.penrc import NonPenrcError, complexity, eval_penrc
 from nrcx.rx import Defined
-from nrcx.values import Atom, Pair, VSet, vset, EMPTY_SET
+from nrcx.values import Atom, DataNode, Pair, VSet, vset, EMPTY_SET
 
 a, b, c, d = Atom("a"), Atom("b"), Atom("c"), Atom("d")
 
@@ -13,6 +13,14 @@ def ev(src, env):
 
 
 # --- evaluation ------------------------------------------------------------
+
+
+def test_environment_must_bind_nrc_values_to_the_free_variables():
+    with pytest.raises(ValueError, match=r"^unbound variables: y$"):
+        ev("(ifeq x x (empty) y)", {"x": a})
+    with pytest.raises(ValueError, match=r"^binding x is not an NRC value "
+                                         r"\(atoms, pairs and sets\)$"):
+        ev("(sing x)", {"x": DataNode(a)})
 
 
 def test_projection_on_pair():

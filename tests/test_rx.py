@@ -4,8 +4,8 @@ import nrcx.rx
 import nrcx.frontend
 from nrcx.frontend import desugar, parse, print_expr
 from nrcx.rx import (ALT_ORACLES, DEFAULT_ORACLES, ORACLE_SUITES, Defined,
-                     Undefined, compile_rx, eval_pure_rx, eval_rx,
-                     rx_children, rx_data, rx_name)
+                     Undefined, compile_pure_rx, compile_rx, eval_pure_rx,
+                     eval_rx, rx_children, rx_data, rx_name)
 from nrcx.translate import compile_ra, decode_relation, encode_db
 from nrcx.values import (Atom, DataNode, ElemNode, VSet, vset, EMPTY_SET,
                          is_pure_rx_value, is_rx_value)
@@ -21,6 +21,36 @@ def rx(src, env, oracles=DEFAULT_ORACLES):
 
 def prx(src, env):
     return eval_pure_rx(parse(src, "pure-rx"), env)
+
+
+# --- the environment check ------------------------------------------------
+
+
+def test_program_names_its_free_variables():
+    e = parse("(seq (for v (kind-any) x (sing v))"
+              " (cond (eq y (lit a)) z (empty)))", "pure-rx")
+    assert compile_pure_rx(e).free == {"x", "y", "z"}
+    assert compile_rx(parse("(for v (kind-any) x v)", "rx")).free == {"x"}
+
+
+def test_unbound_variables_raise_even_in_a_branch_not_taken():
+    with pytest.raises(ValueError, match=r"^unbound variables: y$"):
+        prx("(ifeq (lit a) (lit b) y (empty))", {})
+    with pytest.raises(ValueError, match=r"^unbound variables: x, y$"):
+        rx("(seq y x)", {})
+
+
+def test_bindings_outside_the_language_raise_after_unbound_ones():
+    with pytest.raises(ValueError, match=r"^binding x is not an RX value "
+                                         r"\(a set of items\)$"):
+        rx("(children x)", {"x": a})
+    # Every binding is checked, in sorted order, not only the free ones.
+    with pytest.raises(ValueError, match=r"^binding w is not a pure RX "
+                                         r"value \(an item or a set of "
+                                         r"items\)$"):
+        prx("x", {"x": a, "w": vset(vset(a)), "z": vset(vset(b))})
+    with pytest.raises(ValueError, match=r"^unbound variables: y$"):
+        prx("(seq x y)", {"x": a, "z": vset(vset(b))})
 
 
 # --- helper functions ------------------------------------------------------

@@ -8,6 +8,7 @@ import nrcx.translate
 from nrcx.frontend import (Diff, FD, IND, Product, Project, RaUnion,
                            Relation, Rename, Select, Var, _children,
                            free_vars, parse, print_expr, print_type)
+from nrcx.decide import well_defined_pure_rx
 from nrcx.penrc import eval_penrc
 from nrcx.rx import ALT_ORACLES, DEFAULT_ORACLES, eval_pure_rx, eval_rx
 from nrcx.translate import (NotAnEncodingError, NotInImageError,
@@ -206,6 +207,46 @@ def test_translate_avoids_capturing_free_variables():
     o2 = eval_penrc(te, enc_env(env))
     assert o1.is_defined and o2.is_defined
     assert enc(o1.value) == o2.value
+
+
+def _nested_conds(d):
+    """E_d = (cond (or (eq x x) (eq x x)) E_{d-1} (empty)), E_0 = (empty).
+    Desugaring shares E_{d-1} under the or, so E_d is a DAG of size
+    linear in d with 2^d paths."""
+    e = "(empty)"
+    for _ in range(d):
+        e = f"(cond (or (eq x x) (eq x x)) {e} (empty))"
+    return parse(e, "pure-rx")
+
+
+def _distinct_nodes(e):
+    seen, stack = set(), [e]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            stack.extend(_children(n))
+    return len(seen)
+
+
+def test_translation_translates_each_shared_node_once():
+    counts = [_distinct_nodes(translate_expr(_nested_conds(d)))
+              for d in (3, 6, 9, 12)]
+    # The same number of nodes, at most 10, per level of nesting.
+    steps = {b - a for a, b in zip(counts, counts[1:])}
+    assert len(steps) == 1 and steps.pop() <= 30, counts
+    # The two copies of a shared binder are one node, with one name.
+    got = translate_expr(parse(
+        "(cond (or (eq x x) (eq x x)) (children y) (empty))", "pure-rx"))
+    assert got.then is got.els.then
+    assert print_expr(got) == (
+        "(ifeq x x (flatten (for _t0 y (snd _t0))) "
+        "(ifeq x x (flatten (for _t0 y (snd _t0))) (empty)))")
+
+
+def test_shared_conds_are_certified_without_a_search():
+    v = well_defined_pure_rx(_nested_conds(18), {"x": AtomT()})
+    assert v.result and v.bounds["examined"] == 0
 
 
 # --- relational algebra ----------------------------------------------------
