@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import sexpr
@@ -61,9 +62,12 @@ def _write_out(text, out):
         text += "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as f:
             f.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc}") from exc
 
 
 def _load_expr(path, lang):
@@ -218,8 +222,10 @@ def cmd_reduce_deps(args):
                   for a in args.attrs.split(",")) if args.attrs else None
     e1, e2, gamma, gtype = build_fd_id_reduction(sigma, rho_deps[0],
                                                  args.arity, attrs)
-    import os
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.out_dir}: {exc}") from exc
     _write_out(print_expr(e1), os.path.join(args.out_dir, "e1.sexpr"))
     _write_out(print_expr(e2), os.path.join(args.out_dir, "e2.sexpr"))
     _write_out(_gamma_text(gamma), os.path.join(args.out_dir, "gamma.sexpr"))

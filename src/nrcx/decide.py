@@ -129,24 +129,28 @@ def iter_environments(gamma, card, atoms, *, fresh=(),
     nothing is pruned.  The deadline (time.monotonic seconds) is
     checked every 1024 values drawn for a variable.
     """
-    names = sorted(gamma)
+    return _extend({}, sorted(gamma), 0, gamma, card, atoms, fresh, 0,
+                   budget, deadline)
 
-    def rec(i, env, seen):
-        if i == len(names):
-            yield dict(env)
-            return
-        x = names[i]
-        for n, (v, seen2) in enumerate(iter_canonical_values(
-                gamma[x], card, atoms, fresh, seen, budget)):
-            if deadline is not None and n % 1024 == 1023 \
-                    and time.monotonic() > deadline:
-                raise BudgetExceededError(
-                    "timed out while enumerating environments")
-            env[x] = v
-            yield from rec(i + 1, env, seen2)
-        env.pop(x, None)
 
-    return rec(0, {}, 0)
+def _extend(env, names, i, gamma, card, atoms, fresh, seen, budget,
+            deadline):
+    """The environments of iter_environments that bind names[i:] on top
+    of env, which binds names[:i] and uses seen fresh atoms."""
+    if i == len(names):
+        yield dict(env)
+        return
+    x = names[i]
+    for n, (v, seen2) in enumerate(iter_canonical_values(
+            gamma[x], card, atoms, fresh, seen, budget)):
+        if deadline is not None and n % 1024 == 1023 \
+                and time.monotonic() > deadline:
+            raise BudgetExceededError(
+                "timed out while enumerating environments")
+        env[x] = v
+        yield from _extend(env, names, i + 1, gamma, card, atoms, fresh,
+                           seen2, budget, deadline)
+    env.pop(x, None)
 
 
 # ---------------------------------------------------------------------------

@@ -567,36 +567,37 @@ def printed_length(e) -> int:
     stack frame a level, as the printer does."""
     if type(e) in (FD, IND):
         return len(print_expr(e))
-    lengths = {}  # id of a node or leaf value -> the length of its text
+    return _length(e, {})
 
-    def length(e):
-        n = lengths.get(id(e))
-        if n is not None:
-            return n
-        if type(e) is Var:
-            n = len(e.name)
-        else:
-            form = _BY_CLASS.get(type(e))
-            if form is None:
-                raise TypeError(f"not an expression: {e!r}")
-            n = 2 + len(form.head) + len(form.args)  # parens, head, spaces
-            for name, shape in form.args:
-                v = getattr(e, name)
-                if shape is EXPR or shape is COND:
-                    n += length(v)
-                elif shape is BINDINGS:
-                    n += 1 + max(len(v), 1) + sum(len(x) + 3 + length(s)
-                                                  for x, s in v)
-                elif shape.write is None:
-                    n += len(f"{v}")
-                else:
-                    if id(v) not in lengths:
-                        lengths[id(v)] = len(shape.write(v))
-                    n += lengths[id(v)]
-        lengths[id(e)] = n
+
+def _length(e, lengths):
+    """printed_length(e); lengths maps the id of each node or leaf value
+    counted so far to the length of its text."""
+    n = lengths.get(id(e))
+    if n is not None:
         return n
-
-    return length(e)
+    if type(e) is Var:
+        n = len(e.name)
+    else:
+        form = _BY_CLASS.get(type(e))
+        if form is None:
+            raise TypeError(f"not an expression: {e!r}")
+        n = 2 + len(form.head) + len(form.args)  # parens, head, spaces
+        for name, shape in form.args:
+            v = getattr(e, name)
+            if shape is EXPR or shape is COND:
+                n += _length(v, lengths)
+            elif shape is BINDINGS:
+                n += 1 + max(len(v), 1) + sum(len(x) + 3 + _length(s, lengths)
+                                              for x, s in v)
+            elif shape.write is None:
+                n += len(f"{v}")
+            else:
+                if id(v) not in lengths:
+                    lengths[id(v)] = len(shape.write(v))
+                n += lengths[id(v)]
+    lengths[id(e)] = n
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -33,15 +33,14 @@ the closures):
   the same way, so each leading conjunct of a ``cond`` is tested in the
   loop that binds its last variable.  Only a leading conjunct moves: a
   later one may be undefined where an earlier one is false.
-* Loop-invariant sources.  A source that is not a variable, and names
-  no variable of the enclosing loops from some loop L inward, is
-  evaluated once per run of L, at its first use.  L is the loop just
-  inside the innermost binder that the source's closure reads, which
-  the compiler records as it builds the closure (``Compiler.reads``),
-  so the source is not walked again.  Guard pushdown still tests the
-  names of the guard's operands and of the sources it moves
-  (``frontend.free_vars``), since the chain's variables are not bound
-  where they are compiled.
+* Loop-invariant sources.  A source that names no variable of the
+  enclosing loops from some loop L inward is evaluated once per run of
+  L, at its first use.  L is the loop just inside the innermost binder
+  that the source's closure reads, which the compiler records as it
+  builds the closure (``Compiler.reads``), so the source is not walked
+  again.  Guard pushdown still tests the names of the guard's operands
+  and of the sources it moves (``frontend.free_vars``), since the
+  chain's variables are not bound where they are compiled.
 
 Both are exact because every form is pure and deterministic.  The
 evaluations made, up to the first that fails, are those of the original
@@ -49,6 +48,11 @@ order: a skipped evaluation either repeats a value already computed, or
 would run under a guard that is false and whose else branch is empty,
 or over an empty source.  So the value, the undefinedness reason and
 the failing form are unchanged.
+
+Every value is a set, so a loop binds each element as its singleton.
+``_elements`` lists a source as those singletons once per evaluation of
+the source, so the reruns of a loop over a hoisted or moved source
+reuse them.  No other code reuses singletons.
 
 Undefinedness reasons for pure RX go slightly beyond the obvious list:
 any operation that iterates its operand (data, children, for-sources,
@@ -419,24 +423,18 @@ def _seq_union(c, e):
     return lambda r: left(r).union(right(r))
 
 
-def _rx_for(c, e):
-    return _loop(c, e, _elements(c, e), [], e.body)
-
-
 def _elements(c, f):
-    """The closure of the elements of for f's source that pass its kind
-    filter.  Unless the source is a variable, it is evaluated at most
-    once per run of the outermost enclosing loop inside which it names
-    no loop variable, at its first use in that run."""
+    """The closure of the values for f binds: the singletons of the
+    elements of its source that pass its kind filter.  The source is
+    listed at most once per run of the outermost enclosing loop inside
+    which it names no loop variable, at its first use in that run."""
     src = c.expr(f.source)
     classes, exact = c.kind_filter(f.kind)
     kind = f.kind
 
     def elements(r):
-        return [i for i in src(r).elems
+        return [vset(i) for i in src(r).elems
                 if isinstance(i, classes) and (exact or kind_member(i, kind))]
-    if isinstance(f.source, Var):
-        return elements
     # One past the depth of the innermost binder the source reads.
     level = c.reads(f.source).bit_length()
     if level == len(c.loops):  # it reads the innermost loop's variable
@@ -453,9 +451,9 @@ def _elements(c, f):
 
 
 def _loop(c, f, elements, inner, end):
-    """The closure of for f over the elements that elements(r) gives.
-    Its body is end inside the fors of inner, (for, slot) pairs whose
-    elements are already in their slots."""
+    """The closure of for f over the values that elements(r) lists (as
+    _elements does).  Its body is end inside the fors of inner, (for,
+    slot) pairs whose lists are already in their slots."""
     frame = []
     c.loops.append(frame)  # the frame of the binder that c.bind adds
     try:
@@ -468,8 +466,8 @@ def _loop(c, f, elements, inner, end):
         for s in clear:
             r[s] = None
         parts = []
-        for i in elements(r):
-            r[slot] = vset(i)
+        for v in elements(r):
+            r[slot] = v
             parts.extend(body(r).elems)
         return VSet(parts)
     return for_
@@ -566,7 +564,8 @@ _RX = {
     Text: _rx_text, Elem: _rx_elem,
     DataF: _rx_data, NameF: _rx_name, ChildrenF: _rx_children,
     EmptySeq: lambda c, e: _constant(EMPTY_SET), Seq: _seq_union,
-    For: _rx_for, IfEq: _rx_ifeq, IfEmpty: _rx_ifempty, IfType: _iftype,
+    For: lambda c, e: _loop(c, e, _elements(c, e), [], e.body),
+    IfEq: _rx_ifeq, IfEmpty: _rx_ifempty, IfType: _iftype,
 }
 
 

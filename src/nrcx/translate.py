@@ -17,6 +17,7 @@
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 from . import sexpr
 from .frontend import (AtomLit, CAnd, CEq, CNot, COr, ChildrenF, CondIf,
@@ -572,15 +573,13 @@ def desugar_emptiness(e):
     map the tested set through a constant element constructor and ask
     whether the image is a set of data nodes (true only for the empty
     set)."""
-    fresh = _fresh(free_vars(e))
-    marker = AtomLit(Atom("@e"))
+    return _rewrite_emptiness(e, _fresh(free_vars(e)), AtomLit(Atom("@e")))
 
-    def rewrite(e):
-        if isinstance(e, IfEmpty):
-            x = fresh()
-            probe = For(x, KIND_ANY, rewrite(e.cond), Elem(marker, EmptySeq()))
-            return IfType(probe, CollT(DataT()), rewrite(e.then),
-                          rewrite(e.els))
-        return map_children(e, rewrite)
 
-    return rewrite(e)
+def _rewrite_emptiness(e, fresh, marker):
+    rewrite = partial(_rewrite_emptiness, fresh=fresh, marker=marker)
+    if isinstance(e, IfEmpty):
+        x = fresh()
+        probe = For(x, KIND_ANY, rewrite(e.cond), Elem(marker, EmptySeq()))
+        return IfType(probe, CollT(DataT()), rewrite(e.then), rewrite(e.els))
+    return map_children(e, rewrite)

@@ -468,35 +468,31 @@ def _iter(t, k, atoms, budget, index, seen):
         raise TypeError(f"not a type term: {t!r}")
 
 
-def _iter_subsets(universe, k, index, seen):
-    """(subset, seen') for the subsets of size <= k of a _Universe, in
+def _iter_subsets(universe, k, index, seen, prefix=(), start=0):
+    """(subset, seen') for the subsets of size <= k of a _Universe that
+    extend the tuple prefix with elements from index start on, in
     canonical set order (lexicographic on sorted element tuples),
     skipping every subset whose fresh atoms come out of turn.  Elements
     are drawn from the universe as the subsets first reach them, so a
     consumer that stops early draws only the prefix it reached."""
+    yield prefix, seen
+    if len(prefix) == k:
+        return
     elems, orders, reach = universe.values, universe.orders, universe.reach
-
-    def rec(prefix, start, seen):
-        yield tuple(prefix), seen
-        if len(prefix) == k:
-            return
-        i = start
-        while i < len(elems) or reach(i):
-            s = seen
-            if index:
-                order = orders[i]
-                if order is None:
-                    order = orders[i] = _fresh_order(elems[i], index)
-                s = _advance(order, seen)
-                if s < 0:
-                    i += 1
-                    continue
-            prefix.append(elems[i])
-            yield from rec(prefix, i + 1, s)
-            prefix.pop()
-            i += 1
-
-    return rec([], 0, seen)
+    i = start
+    while i < len(elems) or reach(i):
+        s = seen
+        if index:
+            order = orders[i]
+            if order is None:
+                order = orders[i] = _fresh_order(elems[i], index)
+            s = _advance(order, seen)
+            if s < 0:
+                i += 1
+                continue
+        yield from _iter_subsets(universe, k, index, s, prefix + (elems[i],),
+                                 i + 1)
+        i += 1
 
 
 def _merge_unique(it1, it2):

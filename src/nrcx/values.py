@@ -10,7 +10,9 @@ A value is one of:
 
 Values are hashable and never change after construction; ``VSet``
 canonicalizes on construction, so structural equality coincides with
-set equality.
+set equality.  A value refers only to values built before it, so
+reference counting frees a request's values, and no value keeps its
+singleton (``rx._elements`` reuses the ones a loop binds).
 
 The canonical total order puts atoms < data nodes < element nodes <
 pairs < sets, with each tier ordered recursively (atoms by token).  Each
@@ -44,8 +46,7 @@ class _Value:
     different shapes differ in their first component, so two values are
     equal exactly when their classes and keys are."""
 
-    # _single, the set {v}, is built by the first vset(v).
-    __slots__ = ("_key", "_hash", "_single")
+    __slots__ = ("_key", "_hash")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -126,15 +127,17 @@ class VSet(_Value):
     __slots__ = ("elems",)
 
     def __init__(self, elems: Iterable = ()):
-        elems = tuple(elems)
+        elems = self.elems = tuple(elems)
         try:
+            if len(elems) == 1:  # the commonest: a loop binds singletons
+                e, = elems
+                self._key, self._hash = (4, (e._key,)), hash((e._hash,))
+                return
             if len(elems) > 1:
-                elems = tuple(sorted(set(elems), key=_KEY))
-            keys = tuple(map(_KEY, elems))
+                elems = self.elems = tuple(sorted(set(elems), key=_KEY))
+            self._key = (4, tuple(map(_KEY, elems)))
         except AttributeError:
             raise TypeError(f"not a value: {_not_a_value(elems)!r}") from None
-        self.elems = elems
-        self._key = (4, keys)
         self._hash = hash(tuple(map(_HASH, elems)))
 
     def __iter__(self):
@@ -186,10 +189,7 @@ def _sorted_vset(elems: tuple) -> VSet:
     is."""
     s = object.__new__(VSet)
     s.elems = elems
-    try:
-        s._key = (4, tuple(map(_KEY, elems)))
-    except AttributeError:
-        raise TypeError(f"not a value: {_not_a_value(elems)!r}") from None
+    s._key = (4, tuple(map(_KEY, elems)))
     s._hash = hash(tuple(map(_HASH, elems)))
     return s
 
@@ -202,15 +202,8 @@ EMPTY_SET = VSet()
 
 
 def vset(*elems) -> VSet:
-    """The set of elems.  A value's one-element set is built once and
-    kept on the value."""
-    if len(elems) != 1:
-        return VSet(elems)
-    try:
-        return elems[0]._single
-    except AttributeError:
-        s = elems[0]._single = _sorted_vset(elems)
-        return s
+    """The set of elems."""
+    return VSet(elems)
 
 
 def is_item(v) -> bool:
@@ -306,9 +299,9 @@ def value_to_json(v):
 
 
 def value_from_json(obj):
-    """Parse the JSON form of a value.  Parts are read depth first, left
-    to right, so the first malformed part raises as it would in a
-    recursive reader."""
+    """Parse the JSON form of a value, shaped as value_to_json writes
+    it.  Parts are read depth first, left to right, so the first
+    malformed part raises as it would in a recursive reader."""
     # Each frame is [tag, element name, iterator over the unread parts,
     # values of the parts read so far].
     frames = []
@@ -316,23 +309,23 @@ def value_from_json(obj):
         if not isinstance(obj, dict) or len(obj) != 1:
             raise ValueError(f"malformed value JSON: {obj!r}")
         (tag, body), = obj.items()
+        v = None
         if tag == "atom":
             v = Atom(body)
         elif tag == "data":
             v = DataNode(Atom(body))
+        elif tag == "set" and isinstance(body, list) or \
+                tag == "pair" and isinstance(body, list) and len(body) == 2:
+            frames.append([tag, None, iter(body), []])
+        elif tag == "elem" and isinstance(body, dict) and \
+                body.keys() == {"name", "children"} and \
+                isinstance(body["children"], list):
+            frames.append([tag, Atom(body["name"]), iter(body["children"]),
+                           []])
+        elif tag in ("set", "pair", "elem"):
+            raise ValueError(f"malformed value JSON: {obj!r}")
         else:
-            if tag == "elem":
-                name = Atom(body["name"])
-                parts = iter(body["children"])
-            elif tag == "pair":
-                fst, snd = body
-                name, parts = None, iter((fst, snd))
-            elif tag == "set":
-                name, parts = None, iter(body)
-            else:
-                raise ValueError(f"unknown value tag: {tag!r}")
-            frames.append([tag, name, parts, []])
-            v = None
+            raise ValueError(f"unknown value tag: {tag!r}")
         while frames:
             if v is not None:
                 frames[-1][3].append(v)

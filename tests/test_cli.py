@@ -158,6 +158,26 @@ def test_eval_non_string_atom_token_exit_1(tmp_path, capsys):
                           "atom token must be a nonempty string: [1]\n")
 
 
+@pytest.mark.parametrize("value", [
+    {"elem": {"name": "a"}},
+    {"elem": {"name": "a", "children": [], "x": []}},
+    {"elem": {"name": "a", "children": {"data": "b"}}},
+    {"elem": [{"atom": "a"}]},
+    {"pair": [{"atom": "a"}]},
+    {"pair": [{"atom": "a"}, {"atom": "b"}, {"atom": "c"}]},
+    {"pair": {"atom": "a"}},
+    {"set": {"atom": "a"}},
+    {"set": "a"},
+])
+def test_eval_malformed_value_quotes_the_part_exit_1(tmp_path, capsys, value):
+    expr = write(tmp_path, "e.sexpr", "x")
+    env = write(tmp_path, "env.json",
+                json.dumps({"x": {"set": [{"atom": "a"}, value]}}))
+    got = run(capsys, "eval", expr, env, "--lang", "penrc")
+    assert got == (1, "", f"error: {env}: malformed environment: "
+                          f"malformed value JSON: {value!r}\n")
+
+
 # --- check -----------------------------------------------------------------
 
 
@@ -804,6 +824,51 @@ def test_reduce_deps_checks_its_schema(tmp_path, capsys, rho_text, argv,
               "--out-dir", str(outdir))
     assert got == (1, "", f"error: {message}\n")
     assert not outdir.exists()
+
+
+# --- output files ----------------------------------------------------------
+
+
+def _write_requests(tmp_path):
+    expr = write(tmp_path, "e.sexpr", "(sing x)")
+    env = write(tmp_path, "env.json", json.dumps({"x": {"atom": "a"}}))
+    gamma = write(tmp_path, "gamma.sexpr", "((x (atom)))")
+    ra = write(tmp_path, "q.sexpr", "(rel R)")
+    schema = write(tmp_path, "schema.sexpr", "((R (A)))")
+    return {
+        "parse": ["parse", expr, "--lang", "penrc"],
+        "eval": ["eval", expr, env, "--lang", "penrc"],
+        "check": ["check", expr, "--lang", "penrc", "--mode", "welldef",
+                  "--gamma", gamma],
+        "translate": ["translate", write(tmp_path, "p.sexpr", "x")],
+        "compile-ra": ["compile-ra", ra, "--schema", schema],
+    }
+
+
+@pytest.mark.parametrize("command", ["parse", "eval", "check", "translate",
+                                     "compile-ra"])
+def test_out_in_missing_directory_exit_1(tmp_path, capsys, command):
+    out = str(tmp_path / "missing" / "out.txt")
+    got = run(capsys, *_write_requests(tmp_path)[command], "--out", out)
+    assert got == (1, "", f"error: cannot write {out}: [Errno 2] No such "
+                          f"file or directory: {out!r}\n")
+
+
+def test_gamma_out_in_missing_directory_exit_1(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "gamma.sexpr")
+    argv = _write_requests(tmp_path)["compile-ra"]
+    got = run(capsys, *argv, "--out", str(tmp_path / "compiled.sexpr"),
+              "--gamma-out", out)
+    assert got == (1, "", f"error: cannot write {out}: [Errno 2] No such "
+                          f"file or directory: {out!r}\n")
+
+
+def test_reduce_deps_out_dir_is_a_file_exit_1(tmp_path, capsys):
+    rho = write(tmp_path, "rho.sexpr", "(fd (A1) (A2))")
+    got = run(capsys, "reduce-deps", "--rho", rho, "--arity", "2",
+              "--out-dir", rho)
+    assert got == (1, "", f"error: cannot write {rho}: [Errno 17] File "
+                          f"exists: {rho!r}\n")
 
 
 # --- determinism -----------------------------------------------------------
