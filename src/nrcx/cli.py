@@ -97,6 +97,8 @@ def _load_sexpr(path, build, many=False):
         return build(read(_read_file(path)))
     except sexpr.ParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise CliError(f"{path}: nested too deeply") from exc
 
 
 def _load_gamma(path):
@@ -110,7 +112,11 @@ def _load_gamma(path):
                 raise CliError(f"{path}: gamma variable must be a symbol")
             if var in gamma:
                 raise CliError(f"{path}: variable {var} declared twice")
-            gamma[var] = parse_type(tsx)
+            try:
+                gamma[var] = parse_type(tsx)
+            except RecursionError as exc:
+                raise CliError(
+                    f"{path}: type of {var} nested too deeply") from exc
         return gamma
     return _load_sexpr(path, build)
 

@@ -162,7 +162,8 @@ class _MinimizeBudget(Exception):
 
 
 def _subvalues(v, budget):
-    """All values below v in the sub-value order, canonically sorted."""
+    """All values below v in the sub-value order, strictly sorted by
+    sort_key."""
     if isinstance(v, (Atom, DataNode, ElemNode)):
         return [v]
     if isinstance(v, Pair):
@@ -170,7 +171,8 @@ def _subvalues(v, budget):
         rs = _subvalues(v.snd, budget)
         if len(ls) * len(rs) > budget:
             raise _MinimizeBudget
-        return sorted((Pair(a, b) for a in ls for b in rs), key=sort_key)
+        # A pair's key is its parts' keys in turn, so this is sorted.
+        return [Pair(a, b) for a in ls for b in rs]
     if isinstance(v, VSet):
         pool = []
         for e in v:
@@ -178,21 +180,20 @@ def _subvalues(v, budget):
         pool = sorted(set(pool), key=sort_key)
         if 2 ** len(pool) > budget:
             raise _MinimizeBudget
-        out = set()
-        for n in range(len(pool) + 1):
-            for combo in itertools.combinations(pool, n):
-                out.add(VSet(combo))
-        return sorted(out, key=sort_key)
+        # Combinations of distinct values are distinct sets.
+        return sorted((VSet(combo) for n in range(len(pool) + 1)
+                       for combo in itertools.combinations(pool, n)),
+                      key=sort_key)
     raise TypeError(f"not a value: {v!r}")
-
-
-def _env_key(env):
-    return tuple(sort_key(env[x]) for x in sorted(env))
 
 
 def minimize_counterexample(env, failing, budget=DEFAULT_MINIMIZE_BUDGET):
     """Smallest environment below `env` (pointwise sub-values) on which
     `failing` still holds; `env` itself when the lattice is too large.
+
+    Each variable's lattice is strictly sorted by sort_key, so their
+    product runs in key order, and the first failing point of it with
+    no failing point strictly below it is returned.
     """
     names = sorted(env)
     try:
@@ -201,20 +202,14 @@ def minimize_counterexample(env, failing, budget=DEFAULT_MINIMIZE_BUDGET):
         return env
     if math.prod(map(len, lattices)) > budget:
         return env
-    bad = []
-    for combo in itertools.product(*lattices):
-        cand = dict(zip(names, combo))
-        if failing(cand):
-            bad.append(cand)
-    if not bad:
-        return env
+    cands = (dict(zip(names, combo)) for combo in itertools.product(*lattices))
+    bad = [c for c in cands if failing(c)]
     # The sub-value order is a preorder (distinct sets can sit in the
     # same equivalence class), so "strictly below" must be o <= c but
     # not c <= o.
-    minimal = [c for c in bad
-               if not any(subvalue_env(o, c) and not subvalue_env(c, o)
-                          for o in bad)]
-    return min(minimal, key=_env_key)
+    return next((c for c in bad
+                 if not any(subvalue_env(o, c) and not subvalue_env(c, o)
+                            for o in bad)), env)
 
 
 # ---------------------------------------------------------------------------

@@ -332,7 +332,9 @@ class _Universe:
     may still reach a canonical order through its other parts.  They
     are drawn from the type's stream as they are first reached and
     kept in `values`; orders[i] caches the fresh order of values[i],
-    computed when the value is first reached.
+    computed when the value is first reached.  `walk` is the one
+    canonical walk of a universe: products and subsets both go through
+    it, and no other code reads `orders` or calls `reach`.
 
     Creating a universe checks its count against the budget and draws
     its first value, so every nested position is checked before the
@@ -364,6 +366,24 @@ class _Universe:
             if len(chunk) < want:
                 self._stream = None
         return True
+
+    def walk(self, start, index, seen):
+        """(i, values[i], seen') for each value from index start on
+        whose fresh atoms come in turn after `seen` of them have
+        appeared.  With an empty index every value is yielded and seen
+        is kept."""
+        values, orders = self.values, self.orders
+        i = start
+        while i < len(values) or self.reach(i):
+            s = seen
+            if index:
+                order = orders[i]
+                if order is None:
+                    order = orders[i] = _fresh_order(values[i], index)
+                s = _advance(order, seen)
+            if s >= 0:
+                yield i, values[i], s
+            i += 1
 
 
 def _materialize(stream, n):
@@ -445,21 +465,9 @@ def _iter(t, k, atoms, budget, index, seen):
             yield Pair(Pair(a, a), EMPTY_SET), s
     elif isinstance(t, ProdT):
         rights = _Universe(t.right, k, atoms, budget)
-        values, orders, reach = rights.values, rights.orders, rights.reach
         for l, s in _iter(t.left, k, atoms, budget, index, seen):
-            i = 0
-            while i < len(values) or reach(i):
-                r = values[i]
-                if index:
-                    order = orders[i]
-                    if order is None:
-                        order = orders[i] = _fresh_order(r, index)
-                    s2 = _advance(order, s)
-                    if s2 >= 0:
-                        yield Pair(l, r), s2
-                else:
-                    yield Pair(l, r), s
-                i += 1
+            for _, r, s2 in rights.walk(0, index, s):
+                yield Pair(l, r), s2
     elif isinstance(t, SumT):
         yield from _merge_unique(
             _iter(t.left, k, atoms, budget, index, seen),
@@ -476,23 +484,10 @@ def _iter_subsets(universe, k, index, seen, prefix=(), start=0):
     are drawn from the universe as the subsets first reach them, so a
     consumer that stops early draws only the prefix it reached."""
     yield prefix, seen
-    if len(prefix) == k:
-        return
-    elems, orders, reach = universe.values, universe.orders, universe.reach
-    i = start
-    while i < len(elems) or reach(i):
-        s = seen
-        if index:
-            order = orders[i]
-            if order is None:
-                order = orders[i] = _fresh_order(elems[i], index)
-            s = _advance(order, seen)
-            if s < 0:
-                i += 1
-                continue
-        yield from _iter_subsets(universe, k, index, s, prefix + (elems[i],),
-                                 i + 1)
-        i += 1
+    if len(prefix) < k:
+        for i, e, s in universe.walk(start, index, seen):
+            yield from _iter_subsets(universe, k, index, s, prefix + (e,),
+                                     i + 1)
 
 
 def _merge_unique(it1, it2):

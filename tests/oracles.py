@@ -41,8 +41,7 @@ from nrcx.frontend import (ATOM, ATTRS, BINDINGS, COND, EXPR, FD, IND, KIND,
                            free_vars, literals, print_kind, print_type)
 from nrcx.typeterms import (AtomT, CollT, DataEncT, DataT, ElemT, ProdT,
                             SingleT, SumT, VoidT, DEFAULT_VALUE_BUDGET,
-                            EnumerationBudgetError, _advance, _fresh_order,
-                            _iter_atoms, _merge_unique, _over_budget,
+                            EnumerationBudgetError, _over_budget,
                             count_values_upper,
                             iter_values, member, type_complexity)
 from nrcx.values import (Atom, DataNode, ElemNode, EMPTY_SET, Pair, VSet,
@@ -360,6 +359,70 @@ def _eager_subsets(elems, k, index, seen):
                 prefix.pop()
 
     return rec([], 0, seen)
+
+
+# The renaming rule of the eager reference, stated apart from the one
+# in nrcx.typeterms so that a fault in either shows as a disagreement.
+
+
+def _preorder_atoms(v):
+    """The atoms of v in preorder: an element's name before its
+    children, a pair's fst before its snd, set elements in order."""
+    if isinstance(v, Atom):
+        yield v
+    elif isinstance(v, DataNode):
+        yield v.content
+    elif isinstance(v, ElemNode):
+        yield v.name
+        yield from _preorder_atoms(v.children)
+    elif isinstance(v, Pair):
+        yield from _preorder_atoms(v.fst)
+        yield from _preorder_atoms(v.snd)
+    else:
+        for e in v:
+            yield from _preorder_atoms(e)
+
+
+def _fresh_order(v, index):
+    """Supply indices of v's fresh atoms in preorder."""
+    return [index[a.token] for a in _preorder_atoms(v) if a.token in index]
+
+
+def _advance(order, seen):
+    """seen after fresh atoms of supply indices `order` appear in turn:
+    each index may be at most the running count, which an index equal
+    to it raises by one; -1 when one is above it."""
+    for i in order:
+        if i > seen:
+            return -1
+        seen = max(seen, i + 1)
+    return seen
+
+
+def _iter_atoms(atoms, index, seen):
+    for a in atoms:
+        s = _advance(_fresh_order(a, index), seen)
+        if s >= 0:
+            yield a, s
+
+
+def _merge_unique(left, right):
+    """The canonically ordered (value, seen') streams left and right
+    merged, with one item of each value, left's on a tie.  Like
+    heapq.merge, it draws each stream's first item before yielding
+    and draws the next item of a stream when its last one is taken."""
+    streams = [left, right]
+    heads = [next(left, None), next(right, None)]
+    last = None
+    while heads != [None, None]:
+        side = int(heads[0] is None
+                   or (heads[1] is not None
+                       and sort_key(heads[1][0]) < sort_key(heads[0][0])))
+        item = heads[side]
+        if last is None or item[0] != last:
+            yield item
+            last = item[0]
+        heads[side] = next(streams[side], None)
 
 
 def all_values(depth: int, atoms, max_set: int):

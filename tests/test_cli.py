@@ -501,13 +501,20 @@ def test_env_nested_too_deeply_exit_1(tmp_path, capsys):
 
 
 def test_deep_gamma_type_exit_1(tmp_path, capsys):
-    # The reader reads any depth; the type builder is what recurses.
+    # The reader reads any depth; the type builder is what recurses, and
+    # the file it reads is named, not the expression.
     depth = 3000
-    gamma = write(tmp_path, "gamma.sexpr",
-                  "((x " + "(coll " * depth + "(atom)" + ")" * depth + "))")
-    got = run(capsys, "check", write(tmp_path, "e.sexpr", "x"), "--lang",
-              "penrc", "--mode", "welldef", "--gamma", gamma)
-    assert got == (1, "", "error: expression nested too deeply\n")
+    deep = "(coll " * depth + "(atom)" + ")" * depth
+    expr = write(tmp_path, "e.sexpr", "x")
+    gamma = write(tmp_path, "gamma.sexpr", f"((x {deep}))")
+    got = run(capsys, "check", expr, "--lang", "penrc", "--mode", "welldef",
+              "--gamma", gamma)
+    assert got == (1, "", f"error: {gamma}: type of x nested too deeply\n")
+    tau = write(tmp_path, "tau.sexpr", deep)
+    got = run(capsys, "check", expr, "--lang", "penrc", "--mode", "type",
+              "--gamma", write(tmp_path, "g.sexpr", "((x (atom)))"),
+              "--type", tau)
+    assert got == (1, "", f"error: {tau}: nested too deeply\n")
 
 
 def test_deep_schema_and_dependency_files_exit_1(tmp_path, capsys):

@@ -1,14 +1,15 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
 
 import nrcx.frontend
 import nrcx.penrc
-from nrcx.decide import (BudgetExceededError, NonPenrcError,
-                         PreconditionError, SelfCheckError, Verdict,
-                         atom_supply, decide,
+from nrcx.decide import (DEFAULT_MINIMIZE_BUDGET, BudgetExceededError,
+                         NonPenrcError, PreconditionError, SelfCheckError,
+                         Verdict, _subvalues, atom_supply, decide,
                          fresh_atoms,
                          iter_environments, minimize_counterexample,
                          satisfiable_penrc,
@@ -20,9 +21,10 @@ from nrcx.penrc import complexity, eval_penrc
 from nrcx.sexpr import read as sread
 from nrcx.typeterms import (AtomT, CollT, ElemT, ProdT, VoidT, member, rank,
                             type_complexity)
-from nrcx.values import (Atom, EMPTY_SET, Pair, subvalue_env, vset)
+from nrcx.values import (Atom, DataNode, ElemNode, EMPTY_SET, Pair,
+                         sort_key, subvalue_env, vset)
 
-from oracles import brute_force_verdict
+from oracles import all_values, brute_force_verdict
 
 
 def T(src):
@@ -328,6 +330,60 @@ def test_minimize_counterexample_direct():
     assert subvalue_env(got, env)
     assert got["x"] in (vset(a), vset(b)) and got["y"] == Pair(a, b) or True
     assert len(got["x"].elems) == 1
+
+
+def _small_envs(rng, n):
+    """n random environments of one or two variables, each with 4 to
+    150 points below it."""
+    universe = all_values(2, [Atom("a"), Atom("b")], 2)
+    envs = []
+    while len(envs) < n:
+        env = {x: rng.choice(universe) for x in ("x", "y")[:rng.randint(1, 2)]}
+        size = math.prod(len(_subvalues(v, DEFAULT_MINIMIZE_BUDGET))
+                         for v in env.values())
+        if 4 <= size <= 150:
+            envs.append(env)
+    return envs
+
+
+def test_minimize_agrees_with_least_minimal_failure_by_key():
+    rng = random.Random(9191)
+    ties = 0
+    for env in _small_envs(rng, 300):
+        names = sorted(env)
+        points = [dict(zip(names, combo)) for combo in itertools.product(
+            *(_subvalues(env[x], DEFAULT_MINIMIZE_BUDGET) for x in names))]
+        for p in (0.05, 0.3, 0.7):
+            chosen = {tuple(c.values()) for c in points if rng.random() < p}
+
+            def failing(cand):
+                return tuple(cand[x] for x in names) in chosen
+
+            # The rule minimize_counterexample replaced, kept as its
+            # reference: of the failing points with no failing point
+            # strictly below them, the least by the sort keys of its
+            # values in sorted order of names.
+            bad = [c for c in points if failing(c)]
+            minimal = [c for c in bad
+                       if not any(subvalue_env(o, c) and not subvalue_env(c, o)
+                                  for o in bad)]
+            want = min(minimal, default=env,
+                       key=lambda c: tuple(sort_key(c[x]) for x in names))
+            assert minimize_counterexample(env, failing) == want, (env, p)
+            ties += len(minimal) > 1
+    # Many draws leave more than one minimal failure to choose among.
+    assert ties > 100
+
+
+def test_subvalue_lattices_are_strictly_key_sorted():
+    # minimize_counterexample walks their product as the key order.
+    values = all_values(2, [Atom("a"), Atom("b")], 2) + [
+        ElemNode(Atom("a"), vset(DataNode(Atom("b")))), DataNode(Atom("a")),
+        vset(Pair(vset(Atom("a"), Atom("b")), Atom("a")),
+             Pair(vset(Atom("b")), Atom("b")))]
+    for v in values:
+        keys = [sort_key(w) for w in _subvalues(v, DEFAULT_MINIMIZE_BUDGET)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), v
 
 
 def test_minimize_falls_back_on_tiny_budget():
